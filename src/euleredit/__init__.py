@@ -1,13 +1,6 @@
 """Exact solvers for connected degree parity / balance editing."""
 
-from .cdbe import (
-    DirectedEditSolution,
-    DirectedSolveOutcome,
-    extract_af_df,
-    rewire_fjoin_for_connectivity,
-    solve_cdbe,
-    solve_dbe,
-)
+from .cdbe import extract_af_df, rewire_fjoin_for_connectivity, solve_cdbe, solve_dbe
 from .cdpe import (
     EditSolution,
     SolveOutcome,
@@ -25,6 +18,7 @@ from .graphs import (
     GraphError,
     OperationSet,
     ParityInstance,
+    SolverInvariantError,
     StructuralCounts,
     UnsupportedOperationSetError,
     balance_counts,
@@ -52,10 +46,8 @@ from .verify import VerifyReport, verify_balance, verify_parity
 __all__ = [
     "BalanceInstance",
     "Digraph",
-    "DirectedEditSolution",
     "DirectedFJoin",
     "DirectedOperationGraph",
-    "DirectedSolveOutcome",
     "EditSolution",
     "Graph",
     "GraphError",
@@ -65,6 +57,7 @@ __all__ = [
     "OracleBudget",
     "ParityInstance",
     "SolveOutcome",
+    "SolverInvariantError",
     "StructuralCounts",
     "TJoin",
     "UnsupportedOperationSetError",

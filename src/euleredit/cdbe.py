@@ -4,51 +4,34 @@ The optimum follows the closed formulas in |F|, p, q, t; the witness comes
 from the constructive replacement procedure: extract the edit sets from a
 minimum directed f-join, rewire the join to sweep up stray components at
 constant size, then splice a directed chain of additions through whatever
-components remain.
+components remain.  The outcome type, the rewiring driver and the splice
+are the ones ``cdpe`` defines; only the directed rules live here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .cdpe import Verdict
-from .fjoin import DirectedFJoin, _decompose, build_gs_directed, min_f_join
+from .cdpe import (
+    EditSolution,
+    SolveOutcome,
+    _edge,
+    _no_instance,
+    _rewire,
+    _solved,
+    _splice_chain,
+    _swap,
+)
+from .fjoin import DirectedFJoin, build_gs_directed, min_f_join
 from .graphs import (
     BalanceInstance,
     Digraph,
     GraphError,
     OperationSet,
-    StructuralCounts,
     balance_counts,
-    bridges,
     components,
 )
-from .verify import verify_balance
 
 
-@dataclass(frozen=True)
-class DirectedEditSolution:
-    """An edit set: additions are missing arcs of G, deletions present arcs."""
-
-    additions: frozenset[tuple[int, int]]
-    deletions: frozenset[tuple[int, int]]
-
-    @property
-    def size(self) -> int:
-        return len(self.additions) + len(self.deletions)
-
-
-@dataclass(frozen=True)
-class DirectedSolveOutcome:
-    verdict: Verdict
-    counts: StructuralCounts
-    opt: int | None = None
-    solution: DirectedEditSolution | None = None
-    join_size: int | None = None
-    feasible_within_budget: bool | None = None
-
-
-def extract_af_df(f: DirectedFJoin, g: Digraph) -> DirectedEditSolution:
+def extract_af_df(f: DirectedFJoin, g: Digraph) -> EditSolution:
     """The canonical edit sets (A_F, D_F) of a directed f-join.
 
     A single copy of (u,v) adds the missing arc (u,v), or deletes (v,u)
@@ -70,116 +53,28 @@ def extract_af_df(f: DirectedFJoin, g: Digraph) -> DirectedEditSolution:
             deletions.add((v, u))
         else:
             raise GraphError(f"arc ({u}, {v}) not in the operation graph")
-    return DirectedEditSolution(frozenset(additions), frozenset(deletions))
+    return EditSolution(frozenset(additions), frozenset(deletions))
 
 
-def _no_instance(counts: StructuralCounts, budget: int | None) -> DirectedSolveOutcome:
-    feasible = None if budget is None else False
-    return DirectedSolveOutcome(
-        Verdict.NO_INSTANCE, counts, feasible_within_budget=feasible
-    )
-
-
-def _solved(
-    inst: BalanceInstance,
-    counts: StructuralCounts,
-    opt: int,
-    additions: set[tuple[int, int]],
-    deletions: set[tuple[int, int]],
-    join_size: int | None,
-    require_connected: bool = True,
-) -> DirectedSolveOutcome:
-    solution = DirectedEditSolution(frozenset(additions), frozenset(deletions))
-    assert solution.size == opt
-    report = verify_balance(
-        inst, additions, deletions, claimed_opt=opt, require_connected=require_connected
-    )
-    assert report.valid, report.failures
-    feasible = None if inst.budget is None else opt <= inst.budget
-    return DirectedSolveOutcome(
-        Verdict.SOLVED,
-        counts,
-        opt=opt,
-        solution=solution,
-        join_size=join_size,
-        feasible_within_budget=feasible,
-    )
-
-
-def _apply_join(g: Digraph, arcs: dict[tuple[int, int], int]) -> Digraph:
-    sol = extract_af_df(DirectedFJoin(dict(arcs), ()), g)
+def _apply_join(g: Digraph, arcs: dict) -> Digraph:
+    sol = extract_af_df(DirectedFJoin(dict(arcs)), g)
     return g.apply(sol.additions, sol.deletions)
 
 
-def _arc_is_bridge(h: Digraph, arc: tuple[int, int]) -> bool:
-    # An arc of a digraph is a bridge iff its reverse is absent and the
-    # underlying edge is a bridge of the underlying graph.
+def _arc(u: int, v: int) -> tuple[int, int]:
+    return (u, v)
+
+
+def _arc_crossable(g, h, arcs, arc, bridge_set) -> bool:
+    # Deletions and doubled arcs always qualify; an addition only when it is
+    # no bridge of H: its reverse is present or its underlying edge no bridge.
     u, v = arc
-    if (v, u) in h.arcs:
-        return False
-    return (min(u, v), max(u, v)) in bridges(h.underlying)
+    if arc in g.arcs or arcs[arc] == 2 or (v, u) in h.arcs:
+        return True
+    return _edge(u, v) not in bridge_set
 
 
-def rewire_fjoin_for_connectivity(g: Digraph, f: DirectedFJoin) -> DirectedFJoin:
-    """Rewire a minimum directed f-join without changing its size so that
-    the edited digraph has as few (weak) components as possible.
-
-    Two component-merging swaps are applied exhaustively: replace arcs
-    (u,v), (u',v') of different components by the cross pair (u,v'),
-    (u',v) when (u,v) is a deletion or a non-bridge addition; and replace
-    a two-arc path (u,v), (v,w) whose removal keeps u and v together by a
-    detour (u,x), (x,w) through a vertex x of another component.
-    """
-    arcs = dict(f.arcs)
-    while True:
-        h = _apply_join(g, arcs)
-        comps = components(h)
-        if len(comps) == 1:
-            break
-        comp_of = {v: i for i, c in enumerate(comps) for v in c}
-        if cross := _cross_swap(g, h, arcs, comp_of):
-            arcs = cross
-            continue
-        if detour := _detour_swap(h, arcs, comps, comp_of):
-            arcs = detour
-            continue
-        break
-    balance: dict[int, int] = {}
-    for (u, v), mult in arcs.items():
-        balance[u] = balance.get(u, 0) + mult
-        balance[v] = balance.get(v, 0) - mult
-    return DirectedFJoin(arcs, _decompose(arcs, balance))
-
-
-def _bump(arcs: dict, arc: tuple[int, int], by: int) -> None:
-    count = arcs.get(arc, 0) + by
-    if count:
-        arcs[arc] = count
-    else:
-        arcs.pop(arc, None)
-
-
-def _cross_swap(g: Digraph, h: Digraph, arcs: dict, comp_of: dict):
-    for uv in sorted(arcs):
-        u, v = uv
-        deletion = (u, v) in g.arcs or arcs[uv] == 2
-        addition_non_bridge = (u, v) not in g.arcs and not _arc_is_bridge(h, uv)
-        if not (deletion or addition_non_bridge):
-            continue
-        for xy in sorted(arcs):
-            x, y = xy
-            if comp_of[x] == comp_of[u]:
-                continue
-            swapped = dict(arcs)
-            _bump(swapped, uv, -1)
-            _bump(swapped, xy, -1)
-            _bump(swapped, (u, y), 1)
-            _bump(swapped, (x, v), 1)
-            return swapped
-    return None
-
-
-def _detour_swap(h: Digraph, arcs: dict, comps, comp_of: dict):
+def _detour_swap(g, h: Digraph, arcs: dict, comps, comp_of: dict):
     heads: dict[int, list[tuple[int, int]]] = {}
     for a in sorted(arcs):
         heads.setdefault(a[1], []).append(a)
@@ -199,32 +94,25 @@ def _detour_swap(h: Digraph, arcs: dict, comps, comp_of: dict):
                 x = min(
                     min(c) for c in comps if comp_of[next(iter(c))] != comp_of[mid]
                 )
-                swapped = dict(arcs)
-                _bump(swapped, uv, -1)
-                _bump(swapped, vw, -1)
-                _bump(swapped, (u, x), 1)
-                _bump(swapped, (x, w), 1)
-                return swapped
+                return _swap(arcs, (uv, vw), ((u, x), (x, w)))
     return None
 
 
-def _splice_chain(g: Digraph, arcs: dict) -> dict:
-    """Replace one join arc by a directed chain through every other component."""
-    h = _apply_join(g, arcs)
-    comps = components(h)
-    if len(comps) == 1:
-        return arcs
-    u, v = uv = min(arcs)
-    stops = [min(c) for c in comps if u not in c]
-    route = [u, *stops, v]
-    spliced = dict(arcs)
-    _bump(spliced, uv, -1)
-    for a, b in zip(route, route[1:]):
-        _bump(spliced, (a, b), 1)
-    return spliced
+def rewire_fjoin_for_connectivity(g: Digraph, f: DirectedFJoin) -> DirectedFJoin:
+    """Rewire a minimum directed f-join without changing its size so that
+    the edited digraph has as few (weak) components as possible.
+
+    Two component-merging swaps are applied exhaustively: replace arcs
+    (u,v), (u',v') of different components by the cross pair (u,v'),
+    (u',v) when (u,v) is a deletion or a non-bridge addition; and replace
+    a two-arc path (u,v), (v,w) whose removal keeps u and v together by a
+    detour (u,x), (x,w) through a vertex x of another component.
+    """
+    arcs = _rewire(g, dict(f.arcs), _apply_join, _arc_crossable, _detour_swap, _arc)
+    return DirectedFJoin(arcs)
 
 
-def solve_cdbe(inst: BalanceInstance, s: OperationSet) -> DirectedSolveOutcome:
+def solve_cdbe(inst: BalanceInstance, s: OperationSet) -> SolveOutcome:
     """Optimum and witness for CDBE under the given operation set."""
     g = inst.digraph
     if g.n == 0:
@@ -245,14 +133,12 @@ def solve_cdbe(inst: BalanceInstance, s: OperationSet) -> DirectedSolveOutcome:
 
     opt = max(f.size, p + q - 1, p + counts.total_imbalance // 2)
     rewired = rewire_fjoin_for_connectivity(g, f)
-    arcs = _splice_chain(g, dict(rewired.arcs))
-    solution = extract_af_df(DirectedFJoin(arcs, ()), g)
-    return _solved(
-        inst, counts, opt, set(solution.additions), set(solution.deletions), f.size
-    )
+    arcs = _splice_chain(g, dict(rewired.arcs), _apply_join, _arc)
+    solution = extract_af_df(DirectedFJoin(arcs), g)
+    return _solved(inst, counts, opt, solution.additions, solution.deletions, f.size)
 
 
-def solve_dbe(inst: BalanceInstance, s: OperationSet) -> DirectedSolveOutcome:
+def solve_dbe(inst: BalanceInstance, s: OperationSet) -> SolveOutcome:
     """Degree balance editing without the connectivity requirement."""
     g = inst.digraph
     if g.n == 0:
@@ -266,8 +152,8 @@ def solve_dbe(inst: BalanceInstance, s: OperationSet) -> DirectedSolveOutcome:
         inst,
         counts,
         f.size,
-        set(solution.additions),
-        set(solution.deletions),
+        solution.additions,
+        solution.deletions,
         f.size,
         require_connected=False,
     )

@@ -1,4 +1,5 @@
-"""Exact solvers for connected degree parity editing of undirected graphs.
+"""Exact solvers for connected degree parity editing of undirected graphs,
+and the construction both the parity and the balance solvers share.
 
 ``solve_cdpe_ea`` handles edge addition only, ``solve_cdpe_ea_ed`` addition
 plus deletion, and ``solve_dpe`` drops the connectivity requirement.  Each
@@ -7,7 +8,8 @@ follows closed formulas in the structural quantities (|F|, p, q, |T|) and
 the witness is built by the constructive case analysis: start from a
 minimum T-join (or matching) and rewire it to sweep up stray components
 without changing its size, then splice a chain of additions through the
-components that remain.
+components that remain.  The directed solvers in ``cdbe`` reuse the outcome
+type, the rewiring driver and the splice defined here.
 """
 
 from __future__ import annotations
@@ -16,10 +18,13 @@ import enum
 from dataclasses import dataclass
 
 from .graphs import (
+    BalanceInstance,
+    Digraph,
     Graph,
     GraphError,
     OperationSet,
     ParityInstance,
+    SolverInvariantError,
     StructuralCounts,
     bridges,
     components,
@@ -27,7 +32,7 @@ from .graphs import (
 )
 from .matching import max_matching
 from .tjoin import TJoin, build_gs, min_t_join
-from .verify import verify_parity
+from .verify import verify_balance, verify_parity
 
 
 class Verdict(enum.Enum):
@@ -37,7 +42,7 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class EditSolution:
-    """An edit set: additions are non-edges of G, deletions edges of G."""
+    """An edit set: additions are missing pairs of G, deletions present ones."""
 
     additions: frozenset[tuple[int, int]]
     deletions: frozenset[tuple[int, int]]
@@ -73,20 +78,27 @@ def _no_instance(counts: StructuralCounts, budget: int | None) -> SolveOutcome:
 
 
 def _solved(
-    inst: ParityInstance,
+    inst: ParityInstance | BalanceInstance,
     counts: StructuralCounts,
     opt: int,
-    additions: set[tuple[int, int]],
-    deletions: set[tuple[int, int]],
+    additions: frozenset[tuple[int, int]] | set[tuple[int, int]],
+    deletions: frozenset[tuple[int, int]] | set[tuple[int, int]],
     join_size: int | None,
     require_connected: bool = True,
 ) -> SolveOutcome:
     solution = EditSolution(frozenset(additions), frozenset(deletions))
-    assert solution.size == opt
-    report = verify_parity(
+    if solution.size != opt:
+        raise SolverInvariantError(
+            f"witness has {solution.size} edits but the optimum is {opt}"
+        )
+    verify = verify_balance if isinstance(inst, BalanceInstance) else verify_parity
+    report = verify(
         inst, additions, deletions, claimed_opt=opt, require_connected=require_connected
     )
-    assert report.valid, report.failures
+    if not report.valid:
+        raise SolverInvariantError(
+            "witness fails verification: " + ", ".join(report.failures)
+        )
     feasible = None if inst.budget is None else opt <= inst.budget
     return SolveOutcome(
         Verdict.SOLVED,
@@ -96,6 +108,114 @@ def _solved(
         join_size=join_size,
         feasible_within_budget=feasible,
     )
+
+
+# -- The rewiring driver and the splice, shared with ``cdbe`` ---------------
+#
+# A join is a ``{pair: multiplicity}`` dict: undirected edges or directed
+# arcs, the latter possibly doubled.  ``apply_join(g, join)`` is the edited
+# graph H = G+F, ``pair(a, b)`` writes a new join element from a to b, and
+# ``crossable(g, h, join, element, bridge_set)`` says whether the cross swap
+# may take that element apart, given the bridges of H (of its underlying
+# graph when directed).
+
+
+def _bump(join: dict, pair: tuple[int, int], by: int) -> None:
+    count = join.get(pair, 0) + by
+    if count:
+        join[pair] = count
+    else:
+        join.pop(pair, None)
+
+
+def _swap(join: dict, old, new) -> dict:
+    """A copy of ``join`` with one copy of each ``old`` pair traded for ``new``."""
+    swapped = dict(join)
+    for pair in old:
+        _bump(swapped, pair, -1)
+    for pair in new:
+        _bump(swapped, pair, 1)
+    return swapped
+
+
+def _rewire(g, join: dict, apply_join, crossable, detour, pair) -> dict:
+    """Apply the cross swap and ``detour`` until neither merges components.
+
+    At the fixed point either H = G+F is connected or no swap applies.
+    """
+    while True:
+        h = apply_join(g, join)
+        comps = components(h)
+        if len(comps) == 1:
+            return join
+        comp_of = {v: i for i, c in enumerate(comps) for v in c}
+        bridge_set = bridges(h.underlying if isinstance(h, Digraph) else h)
+        swapped = _cross_swap(
+            join, comp_of, lambda uv: crossable(g, h, join, uv, bridge_set), pair
+        ) or detour(g, h, join, comps, comp_of)
+        if not swapped:
+            return join
+        join = swapped
+
+
+def _cross_swap(join: dict, comp_of: dict, crossable, pair):
+    """Trade a crossable uv and an xy of another component for uy and xv."""
+    for uv in sorted(join):
+        if not crossable(uv):
+            continue
+        u, v = uv
+        for xy in sorted(join):
+            x, y = xy
+            if comp_of[x] != comp_of[u]:
+                return _swap(join, (uv, xy), (pair(u, y), pair(x, v)))
+    return None
+
+
+def _splice_chain(g, join: dict, apply_join, pair) -> dict:
+    """Replace one join element by a chain through every other component."""
+    comps = components(apply_join(g, join))
+    if len(comps) == 1:
+        return join
+    u, v = uv = min(join)
+    route = [u, *(min(c) for c in comps if u not in c), v]
+    return _swap(join, (uv,), [pair(a, b) for a, b in zip(route, route[1:])])
+
+
+# -- The undirected case ----------------------------------------------------
+
+
+def _apply_edges(g: Graph, edges: dict) -> Graph:
+    return g.apply(additions=edges)
+
+
+def _edge_crossable(g, h, edges, e, bridge_set) -> bool:
+    return e not in bridge_set
+
+
+def _detour_swap(g, h, edges, comps, comp_of):
+    incident: dict[int, list[tuple[int, int]]] = {}
+    for e in sorted(edges):
+        incident.setdefault(e[0], []).append(e)
+        incident.setdefault(e[1], []).append(e)
+    for mid in sorted(incident):
+        stars = incident[mid]
+        for i, e1 in enumerate(stars):
+            for e2 in stars[i + 1 :]:
+                a = e1[0] if e1[1] == mid else e1[1]
+                b = e2[0] if e2[1] == mid else e2[1]
+                h2 = g.apply(additions=edges.keys() - {e1, e2})
+                comp2 = {v: j for j, c in enumerate(components(h2)) for v in c}
+                if comp2[a] == comp2[mid]:
+                    u, w = a, b
+                elif comp2[b] == comp2[mid]:
+                    u, w = b, a
+                else:
+                    continue
+                x = min(
+                    min(c) for c in comps if comp_of[next(iter(c))] != comp_of[mid]
+                )
+                return _swap(edges, (e1, e2), (_edge(u, x), _edge(x, w)))
+    return None
 
 
 def rewire_tjoin_for_connectivity(g: Graph, f: TJoin) -> TJoin:
@@ -112,71 +232,15 @@ def rewire_tjoin_for_connectivity(g: Graph, f: TJoin) -> TJoin:
     for u, v in f.edges:
         if g.has_edge(u, v):
             raise GraphError(f"join edge ({u}, {v}) is an edge of the graph")
-    edges = set(f.edges)
-    while True:
-        h = g.apply(additions=edges)
-        comps = components(h)
-        if len(comps) == 1:
-            break
-        comp_of = {v: i for i, c in enumerate(comps) for v in c}
-        if self_swap := _cross_swap(edges, comp_of, bridges(h)):
-            edges = self_swap
-            continue
-        if detour := _detour_swap(g, edges, comps, comp_of):
-            edges = detour
-            continue
-        break
+    edges = _rewire(
+        g, dict.fromkeys(f.edges, 1), _apply_edges, _edge_crossable, _detour_swap, _edge
+    )
     return TJoin(frozenset(edges))
 
 
-def _cross_swap(edges, comp_of, bridge_set):
-    for uv in sorted(edges):
-        if uv in bridge_set:
-            continue
-        u, v = uv
-        for xy in sorted(edges):
-            if comp_of[xy[0]] == comp_of[u]:
-                continue
-            x, y = xy
-            return (edges - {uv, xy}) | {_edge(x, v), _edge(u, y)}
-    return None
-
-
-def _detour_swap(g, edges, comps, comp_of):
-    incident: dict[int, list[tuple[int, int]]] = {}
-    for e in sorted(edges):
-        incident.setdefault(e[0], []).append(e)
-        incident.setdefault(e[1], []).append(e)
-    for mid in sorted(incident):
-        stars = incident[mid]
-        for i, e1 in enumerate(stars):
-            for e2 in stars[i + 1 :]:
-                a = e1[0] if e1[1] == mid else e1[1]
-                b = e2[0] if e2[1] == mid else e2[1]
-                h2 = g.apply(additions=edges - {e1, e2})
-                comp2 = {v: j for j, c in enumerate(components(h2)) for v in c}
-                if comp2[a] == comp2[mid]:
-                    u, w = a, b
-                elif comp2[b] == comp2[mid]:
-                    u, w = b, a
-                else:
-                    continue
-                x = min(
-                    min(c) for c in comps if comp_of[next(iter(c))] != comp_of[mid]
-                )
-                return (edges - {e1, e2}) | {_edge(u, x), _edge(x, w)}
-    return None
-
-
-def _splice_chain(g: Graph, edges: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    """Replace one join edge by a chain through every other component of G+F."""
-    h = g.apply(additions=edges)
-    comps = components(h)
-    if len(comps) == 1:
-        return edges
-    u, v = uv = min(edges)
-    stops = [min(c) for c in comps if u not in c]
-    return (edges - {uv}) | _chain(u, stops, v)
+def _rewired_and_spliced(g: Graph, f: TJoin) -> set[tuple[int, int]]:
+    rewired = rewire_tjoin_for_connectivity(g, f)
+    return set(_splice_chain(g, dict.fromkeys(rewired.edges, 1), _apply_edges, _edge))
 
 
 def _component_cliques(g: Graph, comps) -> list[bool]:
@@ -223,9 +287,7 @@ def solve_cdpe_ea(inst: ParityInstance) -> SolveOutcome:
         return _solved(inst, counts, p, cycle, set(), f.size)
 
     opt = max(f.size, p + q - 1, p + len(t_set) // 2)
-    rewired = rewire_tjoin_for_connectivity(g, f)
-    additions = _splice_chain(g, set(rewired.edges))
-    return _solved(inst, counts, opt, additions, set(), f.size)
+    return _solved(inst, counts, opt, _rewired_and_spliced(g, f), set(), f.size)
 
 
 def _star_bridge_case(g: Graph, t_set: frozenset[int]) -> tuple[int, list[int]] | None:
@@ -329,8 +391,7 @@ def _general_editing_witness(inst: ParityInstance, g: Graph, t_set: frozenset[in
     unmatched = sorted(t_set - {v for e in m_edges for v in e})
 
     if not unmatched:
-        rewired = rewire_tjoin_for_connectivity(g, TJoin(frozenset(m_edges)))
-        return _splice_chain(g, set(rewired.edges)), set()
+        return _rewired_and_spliced(g, TJoin(frozenset(m_edges))), set()
 
     plain_reps = [
         min(c) for c in components(g) if not (c & t_set)

@@ -10,7 +10,7 @@ Instance files are line-oriented and DIMACS-adjacent::
 with kind one of cdpe, cdbe, dpe, dbe and opset ``ea`` or ``ea+ed``.
 Results are a single JSON object on stdout and a human summary on stderr;
 exit code 0 means Solved/valid, 2 NoInstance/invalid, 1 usage or parse
-errors.
+errors, 3 a solver whose witness failed its own check.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .graphs import (
     GraphError,
     OperationSet,
     ParityInstance,
+    SolverInvariantError,
 )
 from .oracle import OracleBudget, oracle_cdbe, oracle_cdpe
 from .verify import verify_balance, verify_parity
@@ -294,17 +295,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    for n in sizes:
-        inst_file = generate_instance("cdpe", OperationSet.ADD, n, 0.5, args.seed + n)
-        start = time.perf_counter()
-        outcome = solve_cdpe_ea(inst_file.instance)
-        millis = (time.perf_counter() - start) * 1000
-        print(f"{n}\t{millis:.1f}\t{outcome.verdict.value}")
-    return 0
-
-
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
@@ -339,11 +329,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--density", type=float, default=0.5)
     gen.add_argument("--seed", type=int, required=True)
     gen.set_defaults(func=_cmd_gen)
-
-    bench = sub.add_parser("bench", help="time the addition solver per size")
-    bench.add_argument("--sizes", default="75,150,300")
-    bench.add_argument("--seed", type=int, default=1)
-    bench.set_defaults(func=_cmd_bench)
     return parser
 
 
@@ -355,6 +340,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, GraphError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except SolverInvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

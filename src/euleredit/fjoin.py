@@ -26,30 +26,22 @@ class DirectedOperationGraph:
     """
 
     base: Digraph
-    mode: OperationSet
-    instance_arcs: frozenset[tuple[int, int]]
-
-    def provenance(self, arc: tuple[int, int]) -> tuple[str, ...]:
-        """The modification(s) the copies of ``arc`` stand for."""
-        mult = self.base.multiplicity(arc)
-        if mult == 0:
-            return ()
-        if mult == 2:
-            return ("add", "delete-reverse")
-        return ("add",) if arc not in self.instance_arcs else ("delete-reverse",)
 
 
 @dataclass(frozen=True)
 class DirectedFJoin:
-    """An arc multiset with prescribed out-minus-in balance, as paths.
+    """An arc multiset with prescribed out-minus-in balance.
 
-    ``arcs`` maps each used arc to its multiplicity (1 or 2); ``paths`` is
-    an arc-disjoint decomposition into directed paths, each running from a
-    vertex with positive f to one with negative f.
+    ``arcs`` maps each used arc to its multiplicity (1 or 2).
     """
 
     arcs: Mapping[tuple[int, int], int]
-    paths: tuple[tuple[tuple[int, int], ...], ...]
+
+    @property
+    def paths(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """An arc-disjoint decomposition into directed paths, each running
+        from a vertex of positive balance to one of negative balance."""
+        return _decompose(self.arcs, self.balance())
 
     @property
     def size(self) -> int:
@@ -79,9 +71,7 @@ def build_gs_directed(g: Digraph, s: OperationSet) -> DirectedOperationGraph:
                 arcs.add((u, v))
             if addable and deletable:
                 doubled.add((u, v))
-    return DirectedOperationGraph(
-        Digraph(n, frozenset(arcs), frozenset(doubled)), s, g.arcs
-    )
+    return DirectedOperationGraph(Digraph(n, frozenset(arcs), frozenset(doubled)))
 
 
 class _FlowNetwork:
@@ -157,7 +147,7 @@ def min_f_join(
     if sum(f.values()) != 0:
         return None
     if not f:
-        return DirectedFJoin({}, ())
+        return DirectedFJoin({})
 
     n = gs.base.n
     source, sink = n, n + 1
@@ -181,7 +171,7 @@ def min_f_join(
         for arc, e in arc_edge.items()
         if gs.base.multiplicity(arc) - net.cap[e] > 0
     }
-    return DirectedFJoin(used, _decompose(used, f))
+    return DirectedFJoin(used)
 
 
 def _decompose(

@@ -16,6 +16,10 @@ class GraphError(ValueError):
     """Raised for structurally invalid graphs or instances."""
 
 
+class SolverInvariantError(RuntimeError):
+    """Raised when a solver's witness fails its own check: a solver bug."""
+
+
 class UnsupportedOperationSetError(ValueError):
     """Raised when an operation set outside {ea}, {ea,ed} is requested."""
 
@@ -92,9 +96,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def complement_has_edge(self, u: int, v: int) -> bool:
-        return u != v and _normalize_edge(u, v) not in self.edges
-
     def complement(self) -> "Graph":
         missing = (
             (u, v)
@@ -164,23 +165,6 @@ class Digraph:
         if arc not in self.arcs:
             return 0
         return 2 if arc in self.doubled else 1
-
-    @cached_property
-    def out_adjacency(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.arcs:
-            out[u].append(v)
-        return tuple(tuple(sorted(vs)) for vs in out)
-
-    def out_degree(self, v: int) -> int:
-        return sum(1 for _ in self.out_adjacency[v]) + sum(
-            1 for (u, w) in self.doubled if u == v
-        )
-
-    def in_degree(self, v: int) -> int:
-        return sum(1 for (u, w) in self.arcs if w == v) + sum(
-            1 for (u, w) in self.doubled if w == v
-        )
 
     @cached_property
     def balances(self) -> tuple[int, ...]:

@@ -10,9 +10,7 @@ reductions onto it:
   matching after the transformation w' = max_w - w, with forbidden pairs
   simply left out of the graph.
 
-Brute-force matchers over vertex subsets (O(2^k * k^2)) are shipped
-alongside as permanent oracles for the test suite; they share no code with
-the blossom engine.
+The brute-force matchers the tests check these against live in ``oracle``.
 """
 
 from __future__ import annotations
@@ -104,63 +102,6 @@ def min_weight_perfect_matching(w: WeightedCompleteGraph) -> Matching | None:
     if any(m == -1 for m in mate):
         return None
     return Matching(frozenset((u, mate[u]) for u in range(w.k) if u < mate[u]))
-
-
-def matching_cost(m: Matching, w: WeightedCompleteGraph) -> int:
-    return int(sum(w.get(u, v) for u, v in m.edges))
-
-
-# ---------------------------------------------------------------------------
-# Subset-DP oracles.
-
-
-def brute_force_max_matching_size(g: Graph) -> int:
-    """Maximum matching size by DP over vertex subsets (n <= ~14)."""
-    n = g.n
-    adj = g.adjacency_bits
-    best = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        v = mask.bit_length() - 1
-        # Either v stays unmatched or is matched to a neighbor in the mask.
-        value = best[mask & ~(1 << v)]
-        nbrs = adj[v] & mask
-        while nbrs:
-            u = (nbrs & -nbrs).bit_length() - 1
-            nbrs &= nbrs - 1
-            cand = best[mask & ~(1 << v) & ~(1 << u)] + 1
-            if cand > value:
-                value = cand
-        best[mask] = value
-    return best[(1 << n) - 1]
-
-
-def brute_force_min_perfect_cost(w: WeightedCompleteGraph) -> int | None:
-    """Minimum perfect matching cost by DP over vertex subsets (k <= ~14)."""
-    k = w.k
-    if k % 2 != 0:
-        return None
-    if k == 0:
-        return 0
-    infinity = math.inf
-    best = [infinity] * (1 << k)
-    best[0] = 0
-    for mask in range(1, 1 << k):
-        if bin(mask).count("1") % 2 != 0:
-            continue
-        v = mask.bit_length() - 1
-        rest = mask & ~(1 << v)
-        u_bits = rest
-        while u_bits:
-            u = (u_bits & -u_bits).bit_length() - 1
-            u_bits &= u_bits - 1
-            wt = w.get(u, v)
-            if wt == FORBIDDEN:
-                continue
-            cand = best[rest & ~(1 << u)] + wt
-            if cand < best[mask]:
-                best[mask] = cand
-    result = best[(1 << k) - 1]
-    return None if result == infinity else int(result)
 
 
 # ---------------------------------------------------------------------------

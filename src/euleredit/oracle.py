@@ -5,10 +5,13 @@ bitmasks, sharing no logic with the real solvers.  Tables are cached per
 graph so that full sweeps (every graph x every target) stay affordable:
 for one graph all 2^(edit universe) candidates are scanned once and the
 best edit size is recorded per degree-parity / degree-balance signature.
+The matching oracles at the end check the blossom engine the same way, by
+DP over vertex subsets, sharing no code with it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -16,6 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .graphs import Digraph, Graph, OperationSet
+from .matching import FORBIDDEN, Matching, WeightedCompleteGraph
 
 
 @dataclass(frozen=True)
@@ -324,3 +328,60 @@ def _fjoin_dict_dp(gs: Digraph, f: Mapping[int, int], cap: int) -> int | None:
                     nxt[key] = cost + 1
             states = nxt
     return states.get(target)
+
+
+# ---------------------------------------------------------------------------
+# Matchings, by DP over vertex subsets (O(2^k * k^2), k <= ~14).
+
+
+def matching_cost(m: Matching, w: WeightedCompleteGraph) -> int:
+    return int(sum(w.get(u, v) for u, v in m.edges))
+
+
+def brute_force_max_matching_size(g: Graph) -> int:
+    """Maximum matching size by DP over vertex subsets (n <= ~14)."""
+    n = g.n
+    adj = g.adjacency_bits
+    best = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        v = mask.bit_length() - 1
+        # Either v stays unmatched or is matched to a neighbor in the mask.
+        value = best[mask & ~(1 << v)]
+        nbrs = adj[v] & mask
+        while nbrs:
+            u = (nbrs & -nbrs).bit_length() - 1
+            nbrs &= nbrs - 1
+            cand = best[mask & ~(1 << v) & ~(1 << u)] + 1
+            if cand > value:
+                value = cand
+        best[mask] = value
+    return best[(1 << n) - 1]
+
+
+def brute_force_min_perfect_cost(w: WeightedCompleteGraph) -> int | None:
+    """Minimum perfect matching cost by DP over vertex subsets (k <= ~14)."""
+    k = w.k
+    if k % 2 != 0:
+        return None
+    if k == 0:
+        return 0
+    infinity = math.inf
+    best = [infinity] * (1 << k)
+    best[0] = 0
+    for mask in range(1, 1 << k):
+        if bin(mask).count("1") % 2 != 0:
+            continue
+        v = mask.bit_length() - 1
+        rest = mask & ~(1 << v)
+        u_bits = rest
+        while u_bits:
+            u = (u_bits & -u_bits).bit_length() - 1
+            u_bits &= u_bits - 1
+            wt = w.get(u, v)
+            if wt == FORBIDDEN:
+                continue
+            cand = best[rest & ~(1 << u)] + wt
+            if cand < best[mask]:
+                best[mask] = cand
+    result = best[(1 << k) - 1]
+    return None if result == infinity else int(result)

@@ -26,7 +26,6 @@ class OperationGraph:
     """The graph G_S of permitted single modifications."""
 
     base: Graph
-    mode: OperationSet
 
 
 @dataclass(frozen=True)
@@ -49,8 +48,8 @@ class TJoin:
 
 def build_gs(g: Graph, s: OperationSet) -> OperationGraph:
     if s is OperationSet.ADD:
-        return OperationGraph(g.complement(), s)
-    return OperationGraph(Graph.complete(g.n), s)
+        return OperationGraph(g.complement())
+    return OperationGraph(Graph.complete(g.n))
 
 
 def _bfs(base: Graph, source: int) -> tuple[list[int], list[int]]:

@@ -34,11 +34,13 @@ from euleredit import (
 from euleredit.matching import (
     FORBIDDEN,
     WeightedCompleteGraph,
+    max_matching,
+    min_weight_perfect_matching,
+)
+from euleredit.oracle import (
     brute_force_max_matching_size,
     brute_force_min_perfect_cost,
     matching_cost,
-    max_matching,
-    min_weight_perfect_matching,
 )
 from euleredit.tjoin import OperationGraph
 
@@ -232,7 +234,7 @@ def test_random_directed_batch(s):
 def test_min_t_join_exhaustive_up_to_n6():
     for n in range(1, 7):
         for g in all_graphs(n):
-            gs = OperationGraph(g, OperationSet.ADD_DELETE)
+            gs = OperationGraph(g)
             for tmask in range(1 << n):
                 if bin(tmask).count("1") % 2:
                     continue

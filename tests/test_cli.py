@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from euleredit.cli import ParseError, format_instance, main, parse_instance
+import euleredit.cdpe
+from euleredit import SolverInvariantError, VerifyReport
+from euleredit.cli import ParseError, _solve, format_instance, main, parse_instance
 
 P3 = "p cdpe ea 3 2\ne 0 1\ne 1 2\nd 0 1\nd 2 1\n"
 
@@ -106,6 +108,24 @@ def test_solve_no_connectivity_flag(tmp_path, capsys):
     assert json.loads(out)["opt"] == 0
 
 
+@pytest.mark.parametrize(
+    "verifier,text",
+    [("verify_parity", P3), ("verify_balance", "p cdbe ea 3 3\na 0 1\na 1 2\na 2 0\n")],
+)
+def test_failed_self_check_exit_code(tmp_path, capsys, monkeypatch, verifier, text):
+    # A witness that fails the solver's own check is a bug, not bad input.
+    failing = lambda *args, **kwargs: VerifyReport(("disconnected",))
+    monkeypatch.setattr(euleredit.cdpe, verifier, failing)
+    inst_file = parse_instance(text)
+    with pytest.raises(SolverInvariantError, match="disconnected"):
+        _solve(inst_file, connected=True)
+    path = tmp_path / "inst.txt"
+    path.write_text(text)
+    code, out, err = _run(capsys, "solve", "--in", str(path))
+    assert code == 3 and not out
+    assert err.startswith("error: witness fails verification")
+
+
 def test_verify_command(tmp_path, capsys):
     inst = tmp_path / "inst.txt"
     inst.write_text(P3)
@@ -156,13 +176,6 @@ def test_gen_is_deterministic(capsys):
 def test_gen_requires_seed(capsys):
     with pytest.raises(SystemExit):
         main(["gen", "--kind", "cdpe", "-n", "5"])
-
-
-def test_bench_command(capsys):
-    code, out, _ = _run(capsys, "bench", "--sizes", "10,20", "--seed", "3")
-    assert code == 0
-    rows = [line.split("\t") for line in out.strip().splitlines()]
-    assert [r[0] for r in rows] == ["10", "20"]
 
 
 def test_opset_override(tmp_path, capsys):

@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from euleredit import (
     Digraph,
+    DirectedFJoin,
     GraphError,
     OperationSet,
     build_gs_directed,
+    extract_af_df,
     min_f_join,
     oracle_min_f_join,
 )
@@ -22,8 +24,11 @@ def test_build_gs_add_only():
     assert (0, 1) not in gs.base.arcs
     assert (1, 0) in gs.base.arcs
     assert not gs.base.doubled
-    assert gs.provenance((1, 0)) == ("add",)
-    assert gs.provenance((0, 1)) == ()
+    # The single copy of (1,0) stands for adding it; (0,1) stands for nothing.
+    assert gs.base.multiplicity((1, 0)) == 1
+    add = extract_af_df(DirectedFJoin({(1, 0): 1}), g)
+    assert add.additions == {(1, 0)} and not add.deletions
+    assert gs.base.multiplicity((0, 1)) == 0
 
 
 def test_build_gs_add_delete():
@@ -31,7 +36,8 @@ def test_build_gs_add_delete():
     gs = build_gs_directed(g, OperationSet.ADD_DELETE)
     # (1,0) is both addable and stands for deleting (0,1): a doubled arc.
     assert gs.base.multiplicity((1, 0)) == 2
-    assert gs.provenance((1, 0)) == ("add", "delete-reverse")
+    both = extract_af_df(DirectedFJoin({(1, 0): 2}), g)
+    assert both.additions == {(1, 0)} and both.deletions == {(0, 1)}
     assert gs.base.multiplicity((0, 1)) == 0
     assert gs.base.multiplicity((0, 2)) == 1
 

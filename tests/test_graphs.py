@@ -52,9 +52,6 @@ def test_complement_and_complete():
     g = Graph.from_edges(4, [(0, 1)])
     assert g.complement().m == 5
     assert Graph.complete(4).m == 6
-    assert g.complement_has_edge(2, 3)
-    assert not g.complement_has_edge(0, 1)
-    assert not g.complement_has_edge(2, 2)
 
 
 def test_induced_relabels():

@@ -3,13 +3,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from euleredit import Graph, Matching, WeightedCompleteGraph
-from euleredit.matching import (
-    FORBIDDEN,
+from euleredit.matching import FORBIDDEN, max_matching, min_weight_perfect_matching
+from euleredit.oracle import (
     brute_force_max_matching_size,
     brute_force_min_perfect_cost,
     matching_cost,
-    max_matching,
-    min_weight_perfect_matching,
 )
 
 graphs = st.integers(0, 12).flatmap(

@@ -31,7 +31,7 @@ def test_tjoin_odd_vertices():
 
 def test_min_t_join_nonexistence():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    gs = OperationGraph(g, OperationSet.ADD_DELETE)
+    gs = OperationGraph(g)
     assert min_t_join(gs, {0, 1, 2}) is None  # odd T
     assert min_t_join(gs, {0, 2}) is None  # one terminal per component
     assert min_t_join(gs, frozenset()).size == 0
@@ -39,7 +39,7 @@ def test_min_t_join_nonexistence():
 
 def test_min_t_join_path():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    gs = OperationGraph(g, OperationSet.ADD_DELETE)
+    gs = OperationGraph(g)
     j = min_t_join(gs, {0, 4})
     assert j.size == 4 and j.odd_vertices() == {0, 4}
     j = min_t_join(gs, {0, 1, 3, 4})
@@ -49,7 +49,7 @@ def test_min_t_join_path():
 def test_min_t_join_prefers_pairing():
     # Matching terminals greedily by one pair at a time is suboptimal here.
     g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
-    gs = OperationGraph(g, OperationSet.ADD_DELETE)
+    gs = OperationGraph(g)
     assert min_t_join(gs, {0, 2, 3, 5}).size == 4
 
 
@@ -61,7 +61,7 @@ def test_min_t_join_matches_oracle(seed, n, density):
     t = frozenset(v for v in range(n) if rng.random() < 0.5)
     if len(t) % 2:
         t = t - {min(t)}
-    j = min_t_join(OperationGraph(g, OperationSet.ADD_DELETE), t)
+    j = min_t_join(OperationGraph(g), t)
     want = oracle_min_t_join(g, t)
     if want is None:
         assert j is None
@@ -74,7 +74,7 @@ def test_min_t_join_matches_oracle(seed, n, density):
 
 def test_min_t_join_deterministic():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-    gs = OperationGraph(g, OperationSet.ADD_DELETE)
+    gs = OperationGraph(g)
     first = min_t_join(gs, {0, 2})
     assert all(min_t_join(gs, {0, 2}) == first for _ in range(5))
 
@@ -84,7 +84,7 @@ def test_component_parity_decides_existence():
         g = random_graph(random.Random(seed), 6, 0.3)
         rng = random.Random(seed * 7 + 1)
         t = frozenset(v for v in range(6) if rng.random() < 0.5)
-        j = min_t_join(OperationGraph(g, OperationSet.ADD_DELETE), t)
+        j = min_t_join(OperationGraph(g), t)
         feasible = len(t) % 2 == 0 and all(
             len(c & t) % 2 == 0 for c in components(g)
         )
