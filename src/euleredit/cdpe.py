@@ -255,7 +255,7 @@ def solve_cdpe_ea(inst: ParityInstance) -> SolveOutcome:
     counts = parity_counts(inst)
     t_set = counts.deficient
     p, q = counts.plain_components, counts.deficient_components
-    f = min_t_join(build_gs(g, OperationSet.ADD), t_set)
+    f = min_t_join(build_gs(g), t_set)
     if f is None:
         return _no_instance(counts, inst.budget)
 
@@ -381,7 +381,7 @@ def _single_bridge_witness(g: Graph, center: int, leaf: int):
     for x in g.adjacency[leaf]:
         if x != center:
             return {_edge(x, center)}, {_edge(x, leaf)}
-    raise AssertionError("star-bridge case requires a third vertex nearby")
+    raise SolverInvariantError("star-bridge case requires a third vertex nearby")
 
 
 def _general_editing_witness(inst: ParityInstance, g: Graph, t_set: frozenset[int]):
@@ -418,7 +418,8 @@ def _general_editing_witness(inst: ParityInstance, g: Graph, t_set: frozenset[in
     h_cut = Graph(h.n, h.edges - {_edge(u1, u2)})
     side = {v: i for i, c in enumerate(components(h_cut)) for v in c}
     m_sides = {side[e[0]] for e in m_edges}
-    assert len(m_sides) == 1, "matching edges must share a side of the bridge"
+    if len(m_sides) != 1:
+        raise SolverInvariantError("matching edges must share a side of the bridge")
     a, b = (u1, u2) if m_sides == {side[u1]} else (u2, u1)
     bridge_set = bridges(g)
     x = min(
@@ -437,11 +438,21 @@ def solve_dpe(inst: ParityInstance, s: OperationSet) -> SolveOutcome:
     if g.n == 0:
         raise GraphError("instances must have at least one vertex")
     counts = parity_counts(inst)
-    f = min_t_join(build_gs(g, s), counts.deficient)
-    if f is None:
-        return _no_instance(counts, inst.budget)
-    deletions = {e for e in f.edges if e in g.edges}
-    additions = set(f.edges) - deletions
+    if s is OperationSet.ADD_DELETE:
+        # Every pair is an operation, so any pairing of T is a minimum
+        # T-join; this nested one is what the blossom returns on equal weights.
+        t = sorted(counts.deficient)
+        if len(t) % 2:
+            return _no_instance(counts, inst.budget)
+        join = {_edge(t[i], t[-1 - i]) for i in range(len(t) // 2)}
+    else:
+        f = min_t_join(build_gs(g), counts.deficient)
+        if f is None:
+            return _no_instance(counts, inst.budget)
+        join = f.edges
+    deletions = {e for e in join if e in g.edges}
+    additions = set(join) - deletions
+    size = len(join)
     return _solved(
-        inst, counts, f.size, additions, deletions, f.size, require_connected=False
+        inst, counts, size, additions, deletions, size, require_connected=False
     )

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
-from .graphs import Digraph, GraphError, OperationSet
+from .graphs import Digraph, GraphError, OperationSet, SolverInvariantError
 
 
 @dataclass(frozen=True)
@@ -197,5 +197,6 @@ def _decompose(
                 cur = v
             demand[cur] -= 1
             paths.append(tuple(path))
-    assert all(x == 0 for x in rem.values())
+    if any(rem.values()):
+        raise SolverInvariantError("flow arcs left over after the path decomposition")
     return tuple(paths)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 
 class GraphError(ValueError):
@@ -64,10 +64,6 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         return cls(n, frozenset(_normalize_edge(u, v) for u, v in edges))
-
-    @classmethod
-    def complete(cls, n: int) -> "Graph":
-        return cls(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)))
 
     @property
     def m(self) -> int:
@@ -245,6 +241,26 @@ class StructuralCounts:
     imbalance: Mapping[int, int] | None = None
 
 
+def bfs_layers(bits: Sequence[int], source: int) -> list[int]:
+    """BFS from ``source`` over neighbourhood bitmasks ``bits``.
+
+    Layer d is the bitmask of the vertices at distance d from ``source``.
+    """
+    seen = frontier = 1 << source
+    layers: list[int] = []
+    while frontier:
+        layers.append(frontier)
+        grow = 0
+        f = frontier
+        while f:
+            v = (f & -f).bit_length() - 1
+            f &= f - 1
+            grow |= bits[v]
+        frontier = grow & ~seen
+        seen |= frontier
+    return layers
+
+
 def components(g: Graph | Digraph) -> list[frozenset[int]]:
     """Vertex sets of connected components, ordered by smallest member."""
     graph = g.underlying if isinstance(g, Digraph) else g
@@ -253,17 +269,9 @@ def components(g: Graph | Digraph) -> list[frozenset[int]]:
     result: list[frozenset[int]] = []
     while unseen:
         start = (unseen & -unseen).bit_length() - 1
-        comp = 1 << start
-        frontier = comp
-        while frontier:
-            grow = 0
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                f &= f - 1
-                grow |= bits[v]
-            frontier = grow & ~comp
-            comp |= frontier
+        comp = 0
+        for layer in bfs_layers(bits, start):
+            comp |= layer
         unseen &= ~comp
         members = []
         c = comp

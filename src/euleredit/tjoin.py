@@ -1,19 +1,19 @@
 """Minimum T-joins in the operation graph of an undirected instance.
 
-The operation graph holds one edge per permitted atomic modification: every
-vertex pair under addition+deletion, only the non-edges under addition
-alone.  A minimum T-join there is found by the classical reduction: BFS
-distances between T-vertices, a minimum-weight perfect matching of T under
-those distances, and the symmetric difference of the matched shortest
-paths.
+The operation graph holds one edge per permitted atomic modification.  Under
+addition alone that is the complement of G; under addition+deletion it is
+complete, so any pairing of T is a minimum T-join and the ea+ed solvers
+never build it.  A minimum T-join of a general graph is found by the
+classical reduction: bitset BFS layers from each T-vertex give the
+distances, a minimum-weight perfect matching pairs T under those distances,
+and the join is the symmetric difference of the matched shortest paths.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .graphs import Graph, OperationSet, components
+from .graphs import Graph, SolverInvariantError, bfs_layers, components
 from .matching import (
     FORBIDDEN,
     WeightedCompleteGraph,
@@ -23,7 +23,7 @@ from .matching import (
 
 @dataclass(frozen=True)
 class OperationGraph:
-    """The graph G_S of permitted single modifications."""
+    """The graph G_S of permitted single modifications; built under ea only."""
 
     base: Graph
 
@@ -46,33 +46,9 @@ class TJoin:
         return len(self.edges)
 
 
-def build_gs(g: Graph, s: OperationSet) -> OperationGraph:
-    if s is OperationSet.ADD:
-        return OperationGraph(g.complement())
-    return OperationGraph(Graph.complete(g.n))
-
-
-def _bfs(base: Graph, source: int) -> tuple[list[int], list[int]]:
-    """Distances and deterministic BFS parents from ``source``.
-
-    Parent of v is the smallest-index neighbor of v at distance dist[v]-1.
-    """
-    n = base.n
-    dist = [-1] * n
-    parent = [-1] * n
-    dist[source] = 0
-    queue = deque([source])
-    adj = base.adjacency
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if dist[w] == -1:
-                dist[w] = dist[u] + 1
-                parent[w] = u
-                queue.append(w)
-            elif dist[w] == dist[u] + 1 and u < parent[w]:
-                parent[w] = u
-    return dist, parent
+def build_gs(g: Graph) -> OperationGraph:
+    """The operation graph under addition only: the complement of ``g``."""
+    return OperationGraph(g.complement())
 
 
 def min_t_join(gs: OperationGraph, t_set: frozenset[int] | set[int]) -> TJoin | None:
@@ -82,38 +58,35 @@ def min_t_join(gs: OperationGraph, t_set: frozenset[int] | set[int]) -> TJoin | 
     number of T-vertices.
     """
     base = gs.base
-    terminals = sorted(t_set)
-    if len(terminals) % 2:
-        return None
     for comp in components(base):
-        if len(comp & set(terminals)) % 2:
+        if len(comp & t_set) % 2:
             return None
-    if not terminals:
-        return TJoin(frozenset())
-    if len(terminals) == 2 and base.has_edge(*terminals):
-        return TJoin(frozenset({tuple(terminals)}))
 
-    dists: dict[int, list[int]] = {}
-    parents: dict[int, list[int]] = {}
-    for s in terminals:
-        dists[s], parents[s] = _bfs(base, s)
-
+    terminals = sorted(t_set)
+    bits = base.adjacency_bits
+    layers = {s: bfs_layers(bits, s) for s in terminals}
     k = len(terminals)
     weight = {}
     for i in range(k):
         for j in range(i + 1, k):
-            d = dists[terminals[i]][terminals[j]]
-            weight[(i, j)] = FORBIDDEN if d == -1 else d
+            # The distance is the index of the layer that holds the vertex.
+            hit = 1 << terminals[j]
+            weight[(i, j)] = next(
+                (d for d, layer in enumerate(layers[terminals[i]]) if layer & hit),
+                FORBIDDEN,
+            )
     matching = min_weight_perfect_matching(WeightedCompleteGraph(k, weight))
-    assert matching is not None  # existence was checked per component
+    if matching is None:
+        raise SolverInvariantError("no perfect matching of T, yet T-joins exist")
 
     join: set[tuple[int, int]] = set()
     for i, j in matching.edges:
         s = terminals[i]
         v = terminals[j]
-        parent = parents[s]
-        while v != s:
-            u = parent[v]
+        # Parent of v at distance d: its smallest-index neighbour at d-1.
+        for layer in reversed(layers[s][: weight[(i, j)]]):
+            low = bits[v] & layer
+            u = (low & -low).bit_length() - 1
             e = (u, v) if u < v else (v, u)
             join.symmetric_difference_update({e})
             v = u

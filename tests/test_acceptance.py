@@ -296,7 +296,7 @@ def test_matchers_against_subset_dp():
 # -- Performance envelope -----------------------------------------------
 
 
-def _timed_solve(n: int) -> float:
+def _timed_solve(n: int, solve=solve_cdpe_ea) -> float:
     rng = random.Random(0xBE2C + n)
     g = random_graph(rng, n, 0.5)
     delta = [rng.randrange(2) for _ in range(n)]
@@ -306,7 +306,7 @@ def _timed_solve(n: int) -> float:
     best = float("inf")
     for _ in range(3):
         start = time.perf_counter()
-        outcome = solve_cdpe_ea(inst)
+        outcome = solve(inst)
         best = min(best, time.perf_counter() - start)
         assert outcome.verdict is Verdict.SOLVED
     return best
@@ -319,6 +319,12 @@ def test_addition_solver_scales():
     # so that sub-millisecond noise cannot dominate the ratio.
     assert times[150] <= 10 * max(times[75], 0.005)
     assert times[300] <= 10 * max(times[150], 0.005)
+
+
+def test_dense_solvers_at_n600():
+    assert _timed_solve(600) < 3.0
+    pair_directly = lambda inst: solve_dpe(inst, OperationSet.ADD_DELETE)
+    assert _timed_solve(600, pair_directly) < 3.0
 
 
 # -- The no-connectivity variants ------------------------------

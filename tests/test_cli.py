@@ -1,9 +1,13 @@
+import ast
+import importlib
+import inspect
 import json
 
 import pytest
 
 import euleredit.cdpe
-from euleredit import SolverInvariantError, VerifyReport
+import euleredit.tjoin
+from euleredit import SolverInvariantError, VerifyReport, build_gs, min_t_join
 from euleredit.cli import ParseError, _solve, format_instance, main, parse_instance
 
 P3 = "p cdpe ea 3 2\ne 0 1\ne 1 2\nd 0 1\nd 2 1\n"
@@ -124,6 +128,30 @@ def test_failed_self_check_exit_code(tmp_path, capsys, monkeypatch, verifier, te
     code, out, err = _run(capsys, "solve", "--in", str(path))
     assert code == 3 and not out
     assert err.startswith("error: witness fails verification")
+
+
+def test_missing_perfect_matching_exit_code(tmp_path, capsys, monkeypatch):
+    # Every vertex of an empty K4 is deficient, so a T-join exists.
+    text = "p cdpe ea 4 0\nd 0 1\nd 1 1\nd 2 1\nd 3 1\n"
+    monkeypatch.setattr(euleredit.tjoin, "min_weight_perfect_matching", lambda w: None)
+    g = parse_instance(text).instance.graph
+    with pytest.raises(SolverInvariantError, match="perfect matching"):
+        min_t_join(build_gs(g), {0, 1, 2, 3})
+    path = tmp_path / "inst.txt"
+    path.write_text(text)
+    code, out, err = _run(capsys, "solve", "--in", str(path))
+    assert code == 3 and not out
+    assert err.startswith("error: no perfect matching")
+
+
+@pytest.mark.parametrize(
+    "module", ["cdpe", "cdbe", "tjoin", "fjoin", "graphs", "verify", "cli"]
+)
+def test_solver_path_has_no_assert(module):
+    # python -O strips assert statements; checks on the solver path must raise.
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"euleredit.{module}")))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"assert in euleredit.{module} at lines {lines}"
 
 
 def test_verify_command(tmp_path, capsys):

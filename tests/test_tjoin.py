@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,12 +7,17 @@ from hypothesis import strategies as st
 from euleredit import (
     Graph,
     OperationSet,
+    ParityInstance,
     TJoin,
+    Verdict,
     build_gs,
     components,
     min_t_join,
     oracle_min_t_join,
+    parity_counts,
+    solve_dpe,
 )
+from euleredit.matching import WeightedCompleteGraph, min_weight_perfect_matching
 from euleredit.tjoin import OperationGraph
 
 from conftest import random_graph
@@ -19,8 +25,7 @@ from conftest import random_graph
 
 def test_build_gs_modes():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    assert build_gs(g, OperationSet.ADD).base.edges == g.complement().edges
-    assert build_gs(g, OperationSet.ADD_DELETE).base.edges == Graph.complete(4).edges
+    assert build_gs(g).base.edges == g.complement().edges
 
 
 def test_tjoin_odd_vertices():
@@ -77,6 +82,36 @@ def test_min_t_join_deterministic():
     gs = OperationGraph(g)
     first = min_t_join(gs, {0, 2})
     assert all(min_t_join(gs, {0, 2}) == first for _ in range(5))
+
+
+def test_min_t_join_parent_is_smallest_neighbour():
+    # 3 has two neighbours at distance 1 from 0; the path runs through the smaller.
+    g = Graph.from_edges(4, [(0, 1), (1, 3), (3, 2), (2, 0)])
+    assert min_t_join(OperationGraph(g), {0, 3}).edges == {(0, 1), (1, 3)}
+
+
+def test_uniform_weights_give_nested_pairing():
+    # solve_dpe under ea+ed pairs T this way instead of running the blossom.
+    for k in range(0, 65, 2):
+        weight = dict.fromkeys(combinations(range(k), 2), 1)
+        matching = min_weight_perfect_matching(WeightedCompleteGraph(k, weight))
+        assert matching.edges == {(i, k - 1 - i) for i in range(k // 2)}
+
+
+def test_dpe_ea_ed_equals_t_join_of_complete_graph():
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(1, 30)
+        g = random_graph(rng, n, rng.random())
+        inst = ParityInstance(g, tuple(rng.randrange(2) for _ in range(n)))
+        outcome = solve_dpe(inst, OperationSet.ADD_DELETE)
+        complete = Graph.from_edges(n, combinations(range(n), 2))
+        join = min_t_join(OperationGraph(complete), parity_counts(inst).deficient)
+        if join is None:
+            assert outcome.verdict is Verdict.NO_INSTANCE
+        else:
+            assert outcome.solution.additions == join.edges - g.edges
+            assert outcome.solution.deletions == join.edges & g.edges
 
 
 def test_component_parity_decides_existence():
