@@ -74,7 +74,7 @@ def _arc_crossable(g, h, arcs, arc, bridge_set) -> bool:
     return _edge(u, v) not in bridge_set
 
 
-def _detour_swap(g, h: Digraph, arcs: dict, comps, comp_of: dict):
+def _detour_swap(g, arcs: dict, comps, comp_of: dict):
     heads: dict[int, list[tuple[int, int]]] = {}
     for a in sorted(arcs):
         heads.setdefault(a[1], []).append(a)
@@ -87,7 +87,7 @@ def _detour_swap(g, h: Digraph, arcs: dict, comps, comp_of: dict):
                 w = vw[1]
                 if w == u:
                     continue
-                h2 = Digraph(h.n, h.arcs - {uv, vw})
+                h2 = _apply_join(g, _swap(arcs, (uv, vw), ()))
                 comp2 = {x: i for i, c in enumerate(components(h2)) for x in c}
                 if comp2[u] != comp2[mid]:
                     continue

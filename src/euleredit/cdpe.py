@@ -152,7 +152,7 @@ def _rewire(g, join: dict, apply_join, crossable, detour, pair) -> dict:
         bridge_set = bridges(h.underlying if isinstance(h, Digraph) else h)
         swapped = _cross_swap(
             join, comp_of, lambda uv: crossable(g, h, join, uv, bridge_set), pair
-        ) or detour(g, h, join, comps, comp_of)
+        ) or detour(g, join, comps, comp_of)
         if not swapped:
             return join
         join = swapped
@@ -192,7 +192,7 @@ def _edge_crossable(g, h, edges, e, bridge_set) -> bool:
     return e not in bridge_set
 
 
-def _detour_swap(g, h, edges, comps, comp_of):
+def _detour_swap(g, edges, comps, comp_of):
     incident: dict[int, list[tuple[int, int]]] = {}
     for e in sorted(edges):
         incident.setdefault(e[0], []).append(e)

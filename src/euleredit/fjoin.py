@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
-from .graphs import Digraph, GraphError, OperationSet, SolverInvariantError
+from .graphs import Digraph, GraphError, OperationSet
 
 
 @dataclass(frozen=True)
@@ -38,21 +38,8 @@ class DirectedFJoin:
     arcs: Mapping[tuple[int, int], int]
 
     @property
-    def paths(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """An arc-disjoint decomposition into directed paths, each running
-        from a vertex of positive balance to one of negative balance."""
-        return _decompose(self.arcs, self.balance())
-
-    @property
     def size(self) -> int:
         return sum(self.arcs.values())
-
-    def balance(self) -> dict[int, int]:
-        bal: dict[int, int] = {}
-        for (u, v), mult in self.arcs.items():
-            bal[u] = bal.get(u, 0) + mult
-            bal[v] = bal.get(v, 0) - mult
-        return {v: b for v, b in bal.items() if b}
 
 
 def build_gs_directed(g: Digraph, s: OperationSet) -> DirectedOperationGraph:
@@ -172,31 +159,3 @@ def min_f_join(
         if gs.base.multiplicity(arc) - net.cap[e] > 0
     }
     return DirectedFJoin(used)
-
-
-def _decompose(
-    arcs: Mapping[tuple[int, int], int], f: Mapping[int, int]
-) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Greedy path decomposition, smallest start vertex and arc head first."""
-    rem = dict(arcs)
-    supply = {v: x for v, x in f.items() if x > 0}
-    demand = {v: -x for v, x in f.items() if x < 0}
-    out: dict[int, list[int]] = {}
-    for u, v in sorted(arcs):
-        out.setdefault(u, []).append(v)
-    paths: list[tuple[tuple[int, int], ...]] = []
-    for start in sorted(supply):
-        while supply[start] > 0:
-            supply[start] -= 1
-            path: list[tuple[int, int]] = []
-            cur = start
-            while not (demand.get(cur, 0) > 0 and (cur != start or path)):
-                nxt = next(v for v in out[cur] if rem.get((cur, v), 0) > 0)
-                rem[(cur, v := nxt)] -= 1
-                path.append((cur, v))
-                cur = v
-            demand[cur] -= 1
-            paths.append(tuple(path))
-    if any(rem.values()):
-        raise SolverInvariantError("flow arcs left over after the path decomposition")
-    return tuple(paths)

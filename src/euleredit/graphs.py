@@ -149,10 +149,6 @@ class Digraph:
             if (v, u) in self.arcs:
                 raise GraphError(f"doubled arc ({u}, {v}) with reverse present")
 
-    @classmethod
-    def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Digraph":
-        return cls(n, frozenset(arcs))
-
     @property
     def m(self) -> int:
         return len(self.arcs) + len(self.doubled)

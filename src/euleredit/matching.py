@@ -42,9 +42,6 @@ class Matching:
     def size(self) -> int:
         return len(self.edges)
 
-    def covered(self) -> frozenset[int]:
-        return frozenset(v for e in self.edges for v in e)
-
 
 @dataclass(frozen=True)
 class WeightedCompleteGraph:

@@ -34,13 +34,6 @@ class TJoin:
 
     edges: frozenset[tuple[int, int]]
 
-    def odd_vertices(self) -> frozenset[int]:
-        degree: dict[int, int] = {}
-        for u, v in self.edges:
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-        return frozenset(v for v, d in degree.items() if d % 2)
-
     @property
     def size(self) -> int:
         return len(self.edges)

@@ -10,19 +10,10 @@ import pytest
 
 from euleredit import (
     BalanceInstance,
-    Digraph,
     Graph,
     OperationSet,
-    OracleBudget,
     ParityInstance,
     Verdict,
-    build_gs_directed,
-    min_f_join,
-    min_t_join,
-    oracle_cdbe,
-    oracle_cdpe,
-    oracle_min_f_join,
-    oracle_min_t_join,
     solve_cdbe,
     solve_cdpe_ea,
     solve_cdpe_ea_ed,
@@ -31,6 +22,7 @@ from euleredit import (
     verify_balance,
     verify_parity,
 )
+from euleredit.fjoin import build_gs_directed, min_f_join
 from euleredit.matching import (
     FORBIDDEN,
     WeightedCompleteGraph,
@@ -38,13 +30,27 @@ from euleredit.matching import (
     min_weight_perfect_matching,
 )
 from euleredit.oracle import (
+    OracleBudget,
     brute_force_max_matching_size,
     brute_force_min_perfect_cost,
     matching_cost,
+    oracle_cdbe,
+    oracle_cdpe,
+    oracle_min_f_join,
+    oracle_min_t_join,
 )
-from euleredit.tjoin import OperationGraph
+from euleredit.tjoin import OperationGraph, min_t_join
 
-from conftest import all_digraphs, all_graphs, random_digraph, random_graph
+from conftest import (
+    all_digraphs,
+    all_graphs,
+    balance,
+    covered,
+    from_arcs,
+    odd_vertices,
+    random_digraph,
+    random_graph,
+)
 
 BUDGET = OracleBudget(12)
 
@@ -149,7 +155,7 @@ def test_k2_with_every_vertex_deficient_is_infeasible():
 
 
 def test_two_directed_triangles_need_two_additions():
-    g = Digraph.from_arcs(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    g = from_arcs(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     out = solve_cdbe(BalanceInstance(g, g.balances), OperationSet.ADD)
     assert out.opt == 2
 
@@ -246,7 +252,7 @@ def test_min_t_join_exhaustive_up_to_n6():
                 else:
                     assert join is not None
                     assert join.size == expected
-                    assert join.odd_vertices() == t
+                    assert odd_vertices(join.edges) == t
                     assert join.edges <= g.edges
 
 
@@ -269,7 +275,7 @@ def test_min_f_join_exhaustive_up_to_n4():
                     else:
                         assert join is not None
                         assert join.size == expected
-                        assert join.balance() == fmap
+                        assert balance(join.arcs) == fmap
 
 
 def test_matchers_against_subset_dp():
@@ -289,7 +295,7 @@ def test_matchers_against_subset_dp():
             assert m is None
         else:
             assert m is not None
-            assert m.covered() == frozenset(range(k))
+            assert covered(m.edges) == frozenset(range(k))
             assert matching_cost(m, w) == expected
 
 

@@ -7,17 +7,17 @@ from euleredit import (
     GraphError,
     OperationSet,
     ParityInstance,
-    TJoin,
     Verdict,
-    components,
-    rewire_tjoin_for_connectivity,
     solve_cdpe_ea,
     solve_cdpe_ea_ed,
     solve_dpe,
     verify_parity,
 )
+from euleredit.cdpe import rewire_tjoin_for_connectivity
+from euleredit.graphs import components
+from euleredit.tjoin import TJoin
 
-from conftest import random_graph
+from conftest import odd_vertices, random_graph
 
 
 def _inst(n, edges, deficient=()):
@@ -116,7 +116,7 @@ def test_rewire_preserves_join_and_size():
     join = TJoin(frozenset({(0, 2), (1, 3)}))
     rewired = rewire_tjoin_for_connectivity(g, join)
     assert rewired.size == join.size
-    assert rewired.odd_vertices() == join.odd_vertices()
+    assert odd_vertices(rewired.edges) == odd_vertices(join.edges)
     h = g.apply(additions=rewired.edges)
     assert len(components(h)) <= len(components(g.apply(additions=join.edges)))
 

@@ -7,7 +7,8 @@ import pytest
 
 import euleredit.cdpe
 import euleredit.tjoin
-from euleredit import SolverInvariantError, VerifyReport, build_gs, min_t_join
+from euleredit import SolverInvariantError, VerifyReport
+from euleredit.tjoin import build_gs, min_t_join
 from euleredit.cli import ParseError, _solve, format_instance, main, parse_instance
 
 P3 = "p cdpe ea 3 2\ne 0 1\ne 1 2\nd 0 1\nd 2 1\n"
@@ -162,6 +163,14 @@ def test_verify_command(tmp_path, capsys):
     code, out, _ = _run(capsys, "verify", "--in", str(inst), "--sol", str(sol))
     assert code == 0 and json.loads(out)["valid"]
     sol.write_text(json.dumps({"additions": [[0, 2]], "deletions": []}))
+    code, out, _ = _run(capsys, "verify", "--in", str(inst), "--sol", str(sol))
+    assert code == 2 and not json.loads(out)["valid"]
+    # A directed file is checked for balance: the arc 0->1 fixes it.
+    inst.write_text("p cdbe ea 2 0\nd 0 1\nd 1 -1\n")
+    sol.write_text(json.dumps({"additions": [[0, 1]], "deletions": [], "opt": 1}))
+    code, out, _ = _run(capsys, "verify", "--in", str(inst), "--sol", str(sol))
+    assert code == 0 and json.loads(out)["valid"]
+    sol.write_text(json.dumps({"additions": [[1, 0]], "deletions": []}))
     code, out, _ = _run(capsys, "verify", "--in", str(inst), "--sol", str(sol))
     assert code == 2 and not json.loads(out)["valid"]
 

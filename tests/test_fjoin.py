@@ -4,22 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from euleredit import (
-    Digraph,
-    DirectedFJoin,
-    GraphError,
-    OperationSet,
-    build_gs_directed,
-    extract_af_df,
-    min_f_join,
-    oracle_min_f_join,
-)
+from euleredit import Digraph, GraphError, OperationSet
+from euleredit.cdbe import extract_af_df
+from euleredit.fjoin import DirectedFJoin, build_gs_directed, min_f_join
+from euleredit.oracle import oracle_min_f_join
 
-from conftest import random_digraph
+from conftest import balance, from_arcs, paths, random_digraph
 
 
 def test_build_gs_add_only():
-    g = Digraph.from_arcs(3, [(0, 1)])
+    g = from_arcs(3, [(0, 1)])
     gs = build_gs_directed(g, OperationSet.ADD)
     assert (0, 1) not in gs.base.arcs
     assert (1, 0) in gs.base.arcs
@@ -32,7 +26,7 @@ def test_build_gs_add_only():
 
 
 def test_build_gs_add_delete():
-    g = Digraph.from_arcs(3, [(0, 1)])
+    g = from_arcs(3, [(0, 1)])
     gs = build_gs_directed(g, OperationSet.ADD_DELETE)
     # (1,0) is both addable and stands for deleting (0,1): a doubled arc.
     assert gs.base.multiplicity((1, 0)) == 2
@@ -50,18 +44,18 @@ def test_build_gs_rejects_multigraphs():
 
 
 def test_min_f_join_basics():
-    g = Digraph.from_arcs(3, [])
+    g = from_arcs(3, [])
     gs = build_gs_directed(g, OperationSet.ADD)
     assert min_f_join(gs, {0: 1, 1: -1}).size == 1
     assert min_f_join(gs, {}).size == 0
     assert min_f_join(gs, {0: 1}) is None  # unbalanced demand
     j = min_f_join(gs, {0: 2, 1: -1, 2: -1})
-    assert j.size == 2 and j.balance() == {0: 2, 1: -1, 2: -1}
+    assert j.size == 2 and balance(j.arcs) == {0: 2, 1: -1, 2: -1}
 
 
 def test_min_f_join_uses_doubled_arcs():
     # Under ea+ed the arc (1,0) can be used twice: add it and delete (0,1).
-    g = Digraph.from_arcs(2, [(0, 1)])
+    g = from_arcs(2, [(0, 1)])
     gs = build_gs_directed(g, OperationSet.ADD_DELETE)
     j = min_f_join(gs, {1: 2, 0: -2})
     assert j is not None and j.size == 2
@@ -71,14 +65,15 @@ def test_min_f_join_uses_doubled_arcs():
 
 
 def test_min_f_join_infeasible():
-    g = Digraph.from_arcs(2, [(0, 1), (1, 0)])
+    g = from_arcs(2, [(0, 1), (1, 0)])
     gs = build_gs_directed(g, OperationSet.ADD)
     assert min_f_join(gs, {0: 1, 1: -1}) is None
 
 
 def _check_paths(j, f):
+    decomposition = paths(j.arcs)
     counts: dict = {}
-    for path in j.paths:
+    for path in decomposition:
         assert path, "paths must be non-empty"
         for (a, b), (c, d) in zip(path, path[1:]):
             assert b == c, "paths must be contiguous"
@@ -87,7 +82,7 @@ def _check_paths(j, f):
     assert counts == dict(j.arcs)
     starts: dict = {}
     ends: dict = {}
-    for path in j.paths:
+    for path in decomposition:
         starts[path[0][0]] = starts.get(path[0][0], 0) + 1
         ends[path[-1][1]] = ends.get(path[-1][1], 0) + 1
     assert starts == {v: x for v, x in f.items() if x > 0}
@@ -114,7 +109,7 @@ def test_min_f_join_matches_oracle(seed, n, density):
             assert j is None
         else:
             assert j is not None and j.size == want
-            assert j.balance() == fmap
+            assert balance(j.arcs) == fmap
             assert all(
                 mult <= gs.base.multiplicity(arc) for arc, mult in j.arcs.items()
             )

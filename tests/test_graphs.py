@@ -10,12 +10,16 @@ from euleredit import (
     OperationSet,
     ParityInstance,
     UnsupportedOperationSetError,
+)
+from euleredit.graphs import (
     balance_counts,
     bridges,
     components,
     is_connected,
     parity_counts,
 )
+
+from conftest import from_arcs
 
 graphs = st.integers(1, 8).flatmap(
     lambda n: st.builds(
@@ -137,7 +141,7 @@ def test_parity_counts_handshake(g, data):
 
 
 def test_balance_counts():
-    g = Digraph.from_arcs(4, [(0, 1), (2, 3)])
+    g = from_arcs(4, [(0, 1), (2, 3)])
     counts = balance_counts(BalanceInstance(g, (1, -1, 0, 0)))
     assert counts.deficient == {2, 3}
     assert counts.imbalance == {2: -1, 3: 1}

@@ -2,13 +2,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from euleredit import Graph, Matching, WeightedCompleteGraph
-from euleredit.matching import FORBIDDEN, max_matching, min_weight_perfect_matching
+from euleredit import Graph
+from euleredit.matching import (
+    FORBIDDEN,
+    Matching,
+    WeightedCompleteGraph,
+    max_matching,
+    min_weight_perfect_matching,
+)
 from euleredit.oracle import (
     brute_force_max_matching_size,
     brute_force_min_perfect_cost,
     matching_cost,
 )
+
+from conftest import covered
 
 graphs = st.integers(0, 12).flatmap(
     lambda n: st.builds(
@@ -92,5 +100,5 @@ def test_min_weight_perfect_matching_against_subset_dp(data, k):
         assert m is None
     else:
         assert m is not None
-        assert m.covered() == frozenset(range(k))
+        assert covered(m.edges) == frozenset(range(k))
         assert matching_cost(m, w) == expected

@@ -1,18 +1,16 @@
 import pytest
 
-from euleredit import (
-    BalanceInstance,
-    Digraph,
-    Graph,
-    OperationSet,
+from euleredit import BalanceInstance, Digraph, Graph, OperationSet, ParityInstance
+from euleredit.fjoin import build_gs_directed
+from euleredit.oracle import (
     OracleBudget,
-    ParityInstance,
     oracle_cdbe,
     oracle_cdpe,
     oracle_min_f_join,
     oracle_min_t_join,
 )
-from euleredit.fjoin import build_gs_directed
+
+from conftest import from_arcs
 
 B = OracleBudget(12)
 
@@ -46,9 +44,9 @@ def test_oracle_cdpe_rejects_large():
 
 
 def test_oracle_cdbe_small_cases():
-    cyc = BalanceInstance(Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)]), (0, 0, 0))
+    cyc = BalanceInstance(from_arcs(3, [(0, 1), (1, 2), (2, 0)]), (0, 0, 0))
     assert oracle_cdbe(cyc, OperationSet.ADD, B) == 0
-    rev = BalanceInstance(Digraph.from_arcs(2, [(0, 1)]), (-1, 1))
+    rev = BalanceInstance(from_arcs(2, [(0, 1)]), (-1, 1))
     # Reversing an arc needs one deletion and one addition.
     assert oracle_cdbe(rev, OperationSet.ADD, B) is None
     assert oracle_cdbe(rev, OperationSet.ADD_DELETE, B) == 2
@@ -75,7 +73,7 @@ def test_oracle_min_t_join():
 
 
 def test_oracle_min_f_join():
-    g = Digraph.from_arcs(3, [(0, 1)])
+    g = from_arcs(3, [(0, 1)])
     gs = build_gs_directed(g, OperationSet.ADD_DELETE)
     assert oracle_min_f_join(gs, {1: 1, 0: -1}) == 1
     assert oracle_min_f_join(gs, {1: 2, 0: -2}) == 2  # doubled (1,0)

@@ -4,23 +4,13 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from euleredit import (
-    Graph,
-    OperationSet,
-    ParityInstance,
-    TJoin,
-    Verdict,
-    build_gs,
-    components,
-    min_t_join,
-    oracle_min_t_join,
-    parity_counts,
-    solve_dpe,
-)
+from euleredit import Graph, OperationSet, ParityInstance, Verdict, solve_dpe
+from euleredit.graphs import components, parity_counts
 from euleredit.matching import WeightedCompleteGraph, min_weight_perfect_matching
-from euleredit.tjoin import OperationGraph
+from euleredit.oracle import oracle_min_t_join
+from euleredit.tjoin import OperationGraph, TJoin, build_gs, min_t_join
 
-from conftest import random_graph
+from conftest import odd_vertices, random_graph
 
 
 def test_build_gs_modes():
@@ -30,7 +20,7 @@ def test_build_gs_modes():
 
 def test_tjoin_odd_vertices():
     j = TJoin(frozenset({(0, 1), (1, 2), (2, 3)}))
-    assert j.odd_vertices() == {0, 3}
+    assert odd_vertices(j.edges) == {0, 3}
     assert j.size == 3
 
 
@@ -46,7 +36,7 @@ def test_min_t_join_path():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     gs = OperationGraph(g)
     j = min_t_join(gs, {0, 4})
-    assert j.size == 4 and j.odd_vertices() == {0, 4}
+    assert j.size == 4 and odd_vertices(j.edges) == {0, 4}
     j = min_t_join(gs, {0, 1, 3, 4})
     assert j.size == 2
 
@@ -73,7 +63,7 @@ def test_min_t_join_matches_oracle(seed, n, density):
     else:
         assert j is not None
         assert j.size == want
-        assert j.odd_vertices() == t
+        assert odd_vertices(j.edges) == t
         assert j.edges <= g.edges
 
 

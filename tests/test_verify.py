@@ -1,11 +1,12 @@
 from euleredit import (
     BalanceInstance,
-    Digraph,
     Graph,
     ParityInstance,
     verify_balance,
     verify_parity,
 )
+
+from conftest import from_arcs
 
 
 def _p3():
@@ -48,7 +49,7 @@ def test_verify_parity_size_and_normalization():
 
 
 def _d3():
-    return BalanceInstance(Digraph.from_arcs(3, [(0, 1), (1, 2)]), (1, 0, -1))
+    return BalanceInstance(from_arcs(3, [(0, 1), (1, 2)]), (1, 0, -1))
 
 
 def test_verify_balance():
@@ -60,15 +61,15 @@ def test_verify_balance():
     assert set(report.failures) == {"balance-violation(0)", "balance-violation(2)"}
     # Direction matters: (2,0) and (0,2) are different arcs.
     assert verify_balance(
-        BalanceInstance(Digraph.from_arcs(3, [(0, 1), (1, 2)]), (0, 0, 0)),
+        BalanceInstance(from_arcs(3, [(0, 1), (1, 2)]), (0, 0, 0)),
         {(2, 0)},
         set(),
     ).valid
 
 
 def test_verify_balance_connectivity_is_weak():
-    inst = BalanceInstance(Digraph.from_arcs(2, [(0, 1)]), (1, -1))
+    inst = BalanceInstance(from_arcs(2, [(0, 1)]), (1, -1))
     assert verify_balance(inst, set(), set()).valid
-    split = BalanceInstance(Digraph.from_arcs(2, []), (0, 0))
+    split = BalanceInstance(from_arcs(2, []), (0, 0))
     assert verify_balance(split, set(), set()).failures == ("disconnected",)
     assert verify_balance(split, set(), set(), require_connected=False).valid
