@@ -4,13 +4,18 @@ The operation multigraph holds one arc copy per permitted modification:
 (u,v) for adding the missing arc (u,v), and — under addition+deletion —
 another copy of (u,v) standing for deleting the present arc (v,u).  A
 minimum f-join is a minimum-cost flow meeting the supplies f(u)>0 and
-demands f(v)<0, each copy a unit-capacity cost-1 arc.
+demands f(v)<0, each copy a unit-capacity cost-1 arc.  ``min_f_join``
+finds it by successive shortest paths, each found by a FIFO label-correcting
+search (SPFA) over bitmask rows instead of a residual edge list: a scan
+relaxes a vertex's whole row against one bitmask per distance value, in
+the order an edge-list SPFA would, so it finds that SPFA's paths.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .graphs import Digraph, GraphError, OperationSet
@@ -20,12 +25,23 @@ from .graphs import Digraph, GraphError, OperationSet
 class DirectedOperationGraph:
     """The arc multigraph G_S of permitted single modifications.
 
-    Which modification an arc copy stands for is recoverable from the
-    instance digraph: a copy of (u,v) means "add (u,v)" when (u,v) is
-    missing and "delete (v,u)" otherwise; a doubled arc means both.
+    Bit v of ``out[u]`` is set when G_S has an arc (u,v), and bit v of
+    ``twice[u]`` when it has two copies of it.  Which modification a copy
+    stands for is recoverable from the instance digraph: a copy of (u,v)
+    means "add (u,v)" when (u,v) is missing and "delete (v,u)" otherwise;
+    a doubled arc means both.
     """
 
-    base: Digraph
+    n: int
+    out: tuple[int, ...]
+    twice: tuple[int, ...]
+
+    @cached_property
+    def base(self) -> Digraph:
+        def arcs(rows):
+            return frozenset((u, v) for u, row in enumerate(rows) for v in _bits(row))
+
+        return Digraph(self.n, arcs(self.out), arcs(self.twice))
 
 
 @dataclass(frozen=True)
@@ -42,120 +58,142 @@ class DirectedFJoin:
         return sum(self.arcs.values())
 
 
+def _bits(mask: int):
+    """The set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def build_gs_directed(g: Digraph, s: OperationSet) -> DirectedOperationGraph:
     if g.doubled:
         raise GraphError("instance digraphs must be simple")
     n = g.n
-    arcs: set[tuple[int, int]] = set()
-    doubled: set[tuple[int, int]] = set()
-    for u in range(n):
-        for v in range(n):
-            if u == v:
-                continue
-            addable = (u, v) not in g.arcs
-            deletable = s is OperationSet.ADD_DELETE and (v, u) in g.arcs
-            if addable or deletable:
-                arcs.add((u, v))
-            if addable and deletable:
-                doubled.add((u, v))
-    return DirectedOperationGraph(Digraph(n, frozenset(arcs), frozenset(doubled)))
-
-
-class _FlowNetwork:
-    """Successive-shortest-paths min-cost max-flow on small integer networks."""
-
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self.head: list[list[int]] = [[] for _ in range(size)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.cost: list[int] = []
-
-    def add(self, u: int, v: int, cap: int, cost: int) -> int:
-        index = len(self.to)
-        self.head[u].append(index)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.cost.append(cost)
-        self.head[v].append(index + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        self.cost.append(-cost)
-        return index
-
-    def min_cost_max_flow(self, source: int, sink: int) -> tuple[int, int]:
-        total_flow = 0
-        total_cost = 0
-        infinity = float("inf")
-        while True:
-            # SPFA: residual arcs may carry cost -1, but no negative cycles.
-            dist = [infinity] * self.size
-            in_queue = [False] * self.size
-            pre = [-1] * self.size
-            dist[source] = 0
-            queue = deque([source])
-            while queue:
-                u = queue.popleft()
-                in_queue[u] = False
-                for e in self.head[u]:
-                    v = self.to[e]
-                    if self.cap[e] > 0 and dist[u] + self.cost[e] < dist[v]:
-                        dist[v] = dist[u] + self.cost[e]
-                        pre[v] = e
-                        if not in_queue[v]:
-                            in_queue[v] = True
-                            queue.append(v)
-            if dist[sink] == infinity:
-                return total_flow, total_cost
-            push = min(
-                self.cap[e]
-                for e in _path_edges(pre, source, sink, self.to)
-            )
-            for e in _path_edges(pre, source, sink, self.to):
-                self.cap[e] -= push
-                self.cap[e ^ 1] += push
-            total_flow += push
-            total_cost += push * int(dist[sink])
-
-
-def _path_edges(pre: list[int], source: int, sink: int, to: list[int]):
-    v = sink
-    while v != source:
-        e = pre[v]
-        yield e
-        v = to[e ^ 1]
+    present = [0] * n
+    reverse = [0] * n
+    for u, v in g.arcs:
+        present[u] |= 1 << v
+        reverse[v] |= 1 << u
+    full = (1 << n) - 1
+    addable = [full & ~present[u] & ~(1 << u) for u in range(n)]
+    if s is not OperationSet.ADD_DELETE:
+        return DirectedOperationGraph(n, tuple(addable), (0,) * n)
+    return DirectedOperationGraph(
+        n,
+        tuple(a | r for a, r in zip(addable, reverse)),
+        tuple(a & r for a, r in zip(addable, reverse)),
+    )
 
 
 def min_f_join(
     gs: DirectedOperationGraph, f: Mapping[int, int]
 ) -> DirectedFJoin | None:
     """A minimum-cardinality directed f-join of ``gs.base``, or None."""
-    f = {v: x for v, x in f.items() if x}
     if sum(f.values()) != 0:
         return None
-    if not f:
-        return DirectedFJoin({})
-
-    n = gs.base.n
+    n = gs.n
     source, sink = n, n + 1
-    net = _FlowNetwork(n + 2)
-    arc_edge: dict[tuple[int, int], int] = {}
-    for u, v in sorted(gs.base.arcs):
-        arc_edge[(u, v)] = net.add(u, v, gs.base.multiplicity((u, v)), 1)
-    supply = 0
-    for v, x in sorted(f.items()):
-        if x > 0:
-            net.add(source, v, x, 0)
-            supply += x
-        else:
-            net.add(v, sink, -x, 0)
-    flow, _ = net.min_cost_max_flow(source, sink)
-    if flow != supply:
-        return None
+    room = list(gs.out)  # room[u]: arcs (u,v) whose flow is below their multiplicity
+    back = [0] * n  # back[u]: bit w set when the arc (w,u) carries flow
+    flow: dict[tuple[int, int], int] = {}
+    left = {v: abs(x) for v, x in f.items()}  # supply or demand not yet routed
+    supplying = sum(1 << v for v, x in f.items() if x > 0)
+    draining = sum(1 << v for v, x in f.items() if x < 0)  # v -> sink has room
+    drained = 0  # v -> sink carries flow, so sink -> v is a residual arc
+    # Read only for vertices reached in the current search, so never reset.
+    dist = [0] * n
+    pre = [0] * n  # u: arc (u,v) forwards; ~u: arc (v,u) backwards; or source
 
-    used = {
-        arc: gs.base.multiplicity(arc) - net.cap[e]
-        for arc, e in arc_edge.items()
-        if gs.base.multiplicity(arc) - net.cap[e] > 0
-    }
-    return DirectedFJoin(used)
+    while supplying:
+        # SPFA from the source, whose scan reaches the supplying vertices.  It
+        # is never reached again: that would close a negative residual cycle.
+        level = {0: supplying}  # level[d]: the vertices at distance d
+        queue = deque(_bits(supplying))
+        for v in queue:
+            dist[v] = 0
+            pre[v] = source
+        queued = supplying
+        sink_dist, sink_pre = n, -1  # n: farther than any path
+        while queue:
+            u = queue.popleft()
+            bit = 1 << u
+            queued ^= bit
+            if u == sink:
+                nearer = 0
+                for k, mask in level.items():
+                    if k <= sink_dist:
+                        nearer |= mask
+                hit = drained & ~nearer
+                if hit:
+                    for k in level:
+                        level[k] &= ~hit
+                    level[sink_dist] = level.get(sink_dist, 0) | hit
+                    for v in _bits(hit):
+                        dist[v] = sink_dist
+                        pre[v] = ~sink
+                    queue.extend(_bits(hit & ~queued))
+                    queued |= hit
+                continue
+            d = dist[u]
+            nearer = close = 0
+            for k, mask in level.items():
+                if k < d:
+                    nearer |= mask
+                elif k <= d + 1:
+                    close |= mask
+            backward = back[u] & ~nearer  # unreached, or at distance >= d
+            ahead = room[u] & ~nearer & ~close  # unreached, or beyond d + 1
+            forward = ahead & ~backward
+            if backward or forward:
+                moved = backward | forward
+                for k in level:
+                    level[k] &= ~moved
+                level[d - 1] = level.get(d - 1, 0) | backward
+                level[d + 1] = level.get(d + 1, 0) | forward
+                for v in _bits(backward):
+                    dist[v] = d - 1
+                    pre[v] = ~u
+                for v in _bits(forward):
+                    dist[v] = d + 1
+                    pre[v] = u
+                # u's residual arcs in edge-list order: (w,u) backwards for
+                # w < u, then (u,v) forwards, then (w,u) backwards for w > u.
+                lower = backward & (bit - 1)
+                for group in (lower, ahead & ~lower, backward & ~lower & ~ahead):
+                    if group & ~queued:
+                        queue.extend(_bits(group & ~queued))
+                queued |= moved
+            if draining & bit and d < sink_dist:
+                sink_dist, sink_pre = d, u
+                if not queued >> sink & 1:
+                    queued |= 1 << sink
+                    queue.append(sink)
+        if sink_pre < 0:
+            return None
+
+        # Augment along the path by its smallest residual capacity.
+        path = []  # (tail, head, +1 when used forwards, -1 when backwards)
+        v, push = sink_pre, left[sink_pre]
+        while pre[v] != source:
+            p = pre[v]
+            a, b, sign = (p, v, 1) if p >= 0 else (v, ~p, -1)
+            mult = 1 + (gs.twice[a] >> b & 1)
+            push = min(push, mult - flow.get((a, b), 0) if sign > 0 else flow[a, b])
+            path.append((a, b, sign))
+            v = p if p >= 0 else ~p
+        push = min(push, left[v])
+        for a, b, sign in path:
+            x = flow[a, b] = flow.get((a, b), 0) + sign * push
+            saturated = x == 1 + (gs.twice[a] >> b & 1)
+            room[a] = room[a] & ~(1 << b) if saturated else room[a] | 1 << b
+            back[b] = back[b] | 1 << a if x else back[b] & ~(1 << a)
+        left[v] -= push
+        left[sink_pre] -= push
+        if not left[v]:
+            supplying &= ~(1 << v)
+        if not left[sink_pre]:
+            draining &= ~(1 << sink_pre)
+        drained |= 1 << sink_pre
+
+    return DirectedFJoin({arc: flow[arc] for arc in sorted(flow) if flow[arc]})

@@ -1,10 +1,10 @@
 """Exhaustive reference solvers for tiny instances.
 
 Every optimum here is found by enumerating candidate edited graphs as
-bitmasks, sharing no logic with the real solvers.  Tables are cached per
-graph so that full sweeps (every graph x every target) stay affordable:
-for one graph all 2^(edit universe) candidates are scanned once and the
-best edit size is recorded per degree-parity / degree-balance signature.
+bitmasks, sharing no logic with the real solvers.  For one graph all
+2^(edit universe) candidates are scanned once and the best edit size is
+recorded per degree-parity / degree-balance signature; the tables of the
+last 16 graphs are cached, enough for sweeps that take one graph at a time.
 The matching oracles at the end check the blossom engine the same way, by
 DP over vertex subsets, sharing no code with it.
 """
@@ -97,7 +97,7 @@ def _graph_mask(g: Graph) -> int:
     return mask
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _parity_best(n: int, gmask: int, add_only: bool, connected: bool):
     """Min edit size per parity signature, over all candidate graphs H."""
     parity, conn, pop = _undirected_tables(n)
@@ -130,7 +130,7 @@ def oracle_cdpe(
     return None if value > b.kmax else value
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _tjoin_best(gs: Graph):
     edges = sorted(gs.edges)
     size = 1 << len(edges)
@@ -223,7 +223,7 @@ def _digraph_mask(g: Digraph) -> int:
     return mask
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _balance_best(n: int, gmask: int, add_only: bool, connected: bool):
     packed, conn, pop = _directed_tables(n)
     h = np.arange(1 << len(_arcs(n)), dtype=np.uint32)
@@ -260,15 +260,14 @@ def oracle_cdbe(
 # Directed f-join oracle (multigraph-aware).
 
 
-@lru_cache(maxsize=None)
-def _fjoin_best(gs: Digraph, cap: int):
-    """Min sub-multiset size per balance signature, sizes > cap dropped.
+@lru_cache(maxsize=16)
+def _fjoin_best(gs: Digraph):
+    """Min sub-multiset size per balance signature, sizes > 7 dropped.
 
-    Nibble packing is exact for every sub-multiset of size <= cap as long
-    as cap <= 7; larger intermediate states are clamped away each round so
-    they can never masquerade as cheap ones.
+    Nibble packing is exact for every sub-multiset of size <= 7; larger
+    intermediate states are clamped away each round so they can never
+    masquerade as cheap ones.
     """
-    assert cap <= 7
     n = gs.n
     best = np.full(1 << (4 * n), _INF, dtype=np.int16)
     best[_balance_key(n, [0] * n)] = 0
@@ -281,7 +280,7 @@ def _fjoin_best(gs: Digraph, cap: int):
             else:
                 bumped[:shift] = best[-shift:] + 1
             best = np.minimum(best, bumped)
-            best[best > cap] = _INF
+            best[best > 7] = _INF
     return best
 
 
@@ -302,8 +301,8 @@ def oracle_min_f_join(gs: Digraph, f: Mapping[int, int]) -> int | None:
         target = [f.get(v, 0) for v in range(gs.n)]
         if any(abs(x) > 7 for x in target):
             return None
-        value = int(_fjoin_best(gs, min(7, cap))[_balance_key(gs.n, target)])
-        return None if value >= _INF else value
+        value = int(_fjoin_best(gs)[_balance_key(gs.n, target)])
+        return None if value > cap else value
     return _fjoin_dict_dp(gs, f, cap)
 
 

@@ -1,9 +1,11 @@
 import random
+from collections import deque
 from itertools import combinations
 
 import pytest
 
 from euleredit import Digraph, Graph
+from euleredit.fjoin import DirectedFJoin
 
 
 def random_graph(rng: random.Random, n: int, density: float = 0.5) -> Graph:
@@ -91,3 +93,84 @@ def paths(arcs) -> tuple[tuple[tuple[int, int], ...], ...]:
             found.append(tuple(path))
     assert not any(rem.values()), "flow arcs left over after the path decomposition"
     return tuple(found)
+
+
+class _FlowNetwork:
+    """Successive-shortest-paths min-cost max-flow over explicit edge lists."""
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.head: list[list[int]] = [[] for _ in range(size)]
+        self.to: list[int] = []
+        self.cap: list[int] = []
+        self.cost: list[int] = []
+
+    def add(self, u: int, v: int, cap: int, cost: int) -> int:
+        index = len(self.to)
+        self.head[u].append(index)
+        self.to.append(v)
+        self.cap.append(cap)
+        self.cost.append(cost)
+        self.head[v].append(index + 1)
+        self.to.append(u)
+        self.cap.append(0)
+        self.cost.append(-cost)
+        return index
+
+    def min_cost_max_flow(self, source: int, sink: int) -> int:
+        total_flow = 0
+        infinity = float("inf")
+        while True:
+            # SPFA: residual arcs may carry cost -1, but no negative cycles.
+            dist = [infinity] * self.size
+            in_queue = [False] * self.size
+            pre = [-1] * self.size
+            dist[source] = 0
+            queue = deque([source])
+            while queue:
+                u = queue.popleft()
+                in_queue[u] = False
+                for e in self.head[u]:
+                    v = self.to[e]
+                    if self.cap[e] > 0 and dist[u] + self.cost[e] < dist[v]:
+                        dist[v] = dist[u] + self.cost[e]
+                        pre[v] = e
+                        if not in_queue[v]:
+                            in_queue[v] = True
+                            queue.append(v)
+            if dist[sink] == infinity:
+                return total_flow
+            path = []
+            v = sink
+            while v != source:
+                path.append(pre[v])
+                v = self.to[pre[v] ^ 1]
+            push = min(self.cap[e] for e in path)
+            for e in path:
+                self.cap[e] -= push
+                self.cap[e ^ 1] += push
+            total_flow += push
+
+
+def reference_min_f_join(gs, f) -> DirectedFJoin | None:
+    """``min_f_join`` as an SPFA over an explicit residual edge list: every arc
+    of ``gs.base`` in sorted order, then source arcs to the supplying
+    vertices and arcs from the demanding vertices to the sink, both sorted."""
+    f = {v: x for v, x in f.items() if x}
+    if sum(f.values()) != 0:
+        return None
+    if not f:
+        return DirectedFJoin({})
+    base = gs.base
+    source, sink = base.n, base.n + 1
+    net = _FlowNetwork(base.n + 2)
+    arc_edge = {arc: net.add(*arc, base.multiplicity(arc), 1) for arc in sorted(base.arcs)}
+    for v, x in sorted(f.items()):
+        if x > 0:
+            net.add(source, v, x, 0)
+        else:
+            net.add(v, sink, -x, 0)
+    if net.min_cost_max_flow(source, sink) != sum(x for x in f.values() if x > 0):
+        return None
+    used = {arc: base.multiplicity(arc) - net.cap[e] for arc, e in arc_edge.items()}
+    return DirectedFJoin({arc: x for arc, x in used.items() if x > 0})

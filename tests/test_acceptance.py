@@ -308,7 +308,10 @@ def _timed_solve(n: int, solve=solve_cdpe_ea) -> float:
     delta = [rng.randrange(2) for _ in range(n)]
     if sum(1 for v in range(n) if g.degree(v) % 2 != delta[v]) % 2:
         delta[0] ^= 1
-    inst = ParityInstance(g, tuple(delta))
+    return _best_of_three(solve, ParityInstance(g, tuple(delta)))
+
+
+def _best_of_three(solve, inst) -> float:
     best = float("inf")
     for _ in range(3):
         start = time.perf_counter()
@@ -331,6 +334,17 @@ def test_dense_solvers_at_n600():
     assert _timed_solve(600) < 3.0
     pair_directly = lambda inst: solve_dpe(inst, OperationSet.ADD_DELETE)
     assert _timed_solve(600, pair_directly) < 3.0
+
+
+def test_directed_solver_at_n200():
+    # Targets in [-2, 2] leave 338 units of supply for the f-join's flow.
+    rng = random.Random(0xD1E5)
+    g = random_digraph(rng, 200, 0.05)
+    delta = [rng.randint(-2, 2) for _ in range(200)]
+    delta[0] -= sum(delta)
+    inst = BalanceInstance(g, tuple(delta))
+    for s in OperationSet:
+        assert _best_of_three(lambda inst: solve_cdbe(inst, s), inst) < 1.0
 
 
 # -- The no-connectivity variants ------------------------------

@@ -9,7 +9,7 @@ from euleredit.cdbe import extract_af_df
 from euleredit.fjoin import DirectedFJoin, build_gs_directed, min_f_join
 from euleredit.oracle import oracle_min_f_join
 
-from conftest import balance, from_arcs, paths, random_digraph
+from conftest import balance, from_arcs, paths, random_digraph, reference_min_f_join
 
 
 def test_build_gs_add_only():
@@ -114,3 +114,64 @@ def test_min_f_join_matches_oracle(seed, n, density):
                 mult <= gs.base.multiplicity(arc) for arc, mult in j.arcs.items()
             )
             _check_paths(j, fmap)
+
+
+def _random_f(rng: random.Random, n: int, units: int) -> dict[int, int]:
+    """Up to ``units`` transfers of 1 to 3 from one vertex to another, and
+    one time in ten a unit that goes nowhere, so the demand is unbalanced."""
+    f = [0] * n
+    for _ in range(units):
+        u, v = rng.randrange(n), rng.randrange(n)
+        x = rng.randint(1, 3)
+        f[u] += x
+        f[v] -= x
+    if rng.random() < 0.1:
+        f[rng.randrange(n)] += 1
+    return {v: f[v] for v in range(n) if f[v]}
+
+
+def test_min_f_join_matches_reference_ssp():
+    # The bitmask SPFA must take the edge-list SPFA's paths, so the joins
+    # agree arc for arc, in the same order, and on infeasibility.
+    rng = random.Random(0xF10E)
+    cases = [(rng.randint(1, 12), rng.uniform(0.05, 0.95), 6) for _ in range(3000)]
+    cases += [(rng.randint(85, 95), rng.uniform(0.01, 0.95), 30) for _ in range(8)]
+    for n, density, units in cases:
+        g = random_digraph(rng, n, density)
+        f = _random_f(rng, n, rng.randint(0, units))
+        for mode in OperationSet:
+            gs = build_gs_directed(g, mode)
+            got, want = min_f_join(gs, f), reference_min_f_join(gs, f)
+            if want is None:
+                assert got is None, (n, sorted(g.arcs), f, mode)
+            else:
+                assert got is not None, (n, sorted(g.arcs), f, mode)
+                assert list(got.arcs.items()) == list(want.arcs.items())
+
+
+def test_min_f_join_size_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(0x4E58)
+    for _ in range(40):
+        n = rng.randint(2, 60)
+        g = random_digraph(rng, n, rng.uniform(0.02, 0.9))
+        f = _random_f(rng, n, rng.randint(1, n))
+        for mode in OperationSet:
+            gs = build_gs_directed(g, mode)
+            net = nx.DiGraph()
+            net.add_nodes_from((v, {"demand": -f.get(v, 0)}) for v in range(n))
+            net.add_edges_from(
+                (u, v, {"capacity": gs.base.multiplicity((u, v)), "weight": 1})
+                for u, v in gs.base.arcs
+            )
+            try:
+                want = nx.min_cost_flow_cost(net)
+            except nx.NetworkXUnfeasible:
+                want = None
+            j = min_f_join(gs, f)
+            if want is None:
+                assert j is None, (n, sorted(g.arcs), f, mode)
+            else:
+                assert j is not None and j.size == want, (n, sorted(g.arcs), f, mode)
+                assert balance(j.arcs) == f
+                assert all(x <= gs.base.multiplicity(a) for a, x in j.arcs.items())
