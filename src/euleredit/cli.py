@@ -8,6 +8,8 @@ Instance files are line-oriented and DIMACS-adjacent::
     d <v> <value>    (target delta; missing vertices default to 0)
 
 with kind one of cdpe, cdbe, dpe, dbe and opset ``ea`` or ``ea+ed``.
+Parsing takes time linear in the file size.  A header ``n`` above
+``MAX_VERTICES`` (10,000) is a parse error on the header line (exit code 1).
 Results are a single JSON object on stdout and a human summary on stderr;
 exit code 0 means Solved/valid, 2 NoInstance/invalid, 1 usage or parse
 errors, 3 a solver whose witness failed its own check.
@@ -37,6 +39,11 @@ from .verify import verify_balance, verify_parity
 
 KINDS = ("cdpe", "cdbe", "dpe", "dbe")
 
+# Largest n a header may declare.  Every solver keeps an n-bit adjacency row
+# per vertex, and under ea the operation graph is the complement, with up to
+# n²/2 edges, so a header n is checked before anything is sized by it.
+MAX_VERTICES = 10_000
+
 
 class ParseError(ValueError):
     def __init__(self, line: int, message: str) -> None:
@@ -60,9 +67,9 @@ class InstanceFile:
 
 def parse_instance(text: str) -> InstanceFile:
     lines = [
-        (i + 1, line.strip())
-        for i, line in enumerate(text.splitlines())
-        if line.strip() and not line.strip().startswith("c")
+        (i, line)
+        for i, raw in enumerate(text.splitlines(), 1)
+        if (line := raw.strip()) and not line.startswith("c")
     ]
     if not lines:
         raise ParseError(1, "empty instance")
@@ -84,12 +91,14 @@ def parse_instance(text: str) -> InstanceFile:
         raise ParseError(lineno, "n, m and k must be integers") from exc
     if n <= 0:
         raise ParseError(lineno, "n must be positive")
+    if n > MAX_VERTICES:
+        raise ParseError(lineno, f"n must be at most {MAX_VERTICES}")
     if budget is not None and budget < 0:
         raise ParseError(lineno, "budget must be non-negative")
 
     directed = kind in ("cdbe", "dbe")
     tag = "a" if directed else "e"
-    links: list[tuple[int, int]] = []
+    links: set[tuple[int, int]] = set()
     delta: dict[int, int] = {}
     for lineno, line in lines[1:]:
         parts = line.split()
@@ -107,7 +116,7 @@ def parse_instance(text: str) -> InstanceFile:
             pair = (u, v) if directed else (min(u, v), max(u, v))
             if pair in links:
                 raise ParseError(lineno, f"duplicate {tag} {u} {v}")
-            links.append(pair)
+            links.add(pair)
         elif parts[0] == "d":
             if len(parts) != 3:
                 raise ParseError(lineno, "expected 'd <v> <value>'")

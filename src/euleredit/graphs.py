@@ -90,7 +90,7 @@ class Graph:
         return _normalize_edge(u, v) in self.edges
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return self.adjacency_bits[v].bit_count()
 
     def complement(self) -> "Graph":
         missing = (

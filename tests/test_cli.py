@@ -2,10 +2,13 @@ import ast
 import importlib
 import inspect
 import json
+import random
+import time
 
 import pytest
 
 import euleredit.cdpe
+import euleredit.cli
 import euleredit.tjoin
 from euleredit import SolverInvariantError, VerifyReport
 from euleredit.tjoin import build_gs, min_t_join
@@ -33,7 +36,9 @@ def test_parse_budget_and_comments():
 def test_parse_directed():
     inst_file = parse_instance("p cdbe ea 3 2\na 0 1\na 1 0\nd 1 2\nd 2 -2\n")
     assert inst_file.directed
+    # An arc and its reverse are two arcs, not a duplicate.
     assert inst_file.instance.digraph.arcs == {(0, 1), (1, 0)}
+    assert inst_file.instance.digraph.m == 2
     assert inst_file.instance.delta == (0, 2, -2)
 
 
@@ -53,6 +58,7 @@ def test_parse_directed():
         ("p cdbe ea 2 1\ne 0 1\n", "unknown line type"),
         ("p cdpe ea 2 0\nd 0 2\n", "0 or 1"),
         ("p cdpe ea 2 0\nd 0 1\nd 0 1\n", "duplicate delta"),
+        ("p cdbe ea 2 2\na 0 1\na 0 1\n", "duplicate"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, fragment):
@@ -60,6 +66,44 @@ def test_parse_errors_carry_line_numbers(text, fragment):
         parse_instance(text)
     assert fragment in str(err.value)
     assert str(err.value).startswith("line ")
+
+
+def test_header_n_is_bounded(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(euleredit.cli, "MAX_VERTICES", 8)
+    assert parse_instance("p cdpe ea 8 1\ne 0 7\n").instance.graph.n == 8
+    with pytest.raises(ParseError, match=r"^line 1: n must be at most 8$"):
+        parse_instance("p cdpe ea 9 1\ne 0 8\n")
+    path = tmp_path / "big.txt"
+    path.write_text("c comment lines do not move the bound's line\np dbe ea 9 0\n")
+    code, out, err = _run(capsys, "solve", "--in", str(path))
+    assert code == 1 and not out
+    assert err.startswith("error: line 2: n must be at most 8")
+
+
+def _dense_file(m: int) -> str:
+    rng = random.Random(m)
+    pairs = rng.sample([(u, v) for u in range(300) for v in range(u + 1, 300)], m)
+    body = "".join(f"e {v} {u}\n" if rng.random() < 0.5 else f"e {u} {v}\n"
+                   for u, v in pairs)
+    return f"p cdpe ea 300 {m}\n{body}d 0 1\nd 299 1\n"
+
+
+def test_parse_is_linear():
+    times = {}
+    for m in (10_000, 20_000, 40_000):
+        text = _dense_file(m)
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            inst_file = parse_instance(text)
+            best = min(best, time.perf_counter() - start)
+        assert inst_file.instance.graph.m == m
+        times[m] = best
+    assert times[40_000] < 1.0
+    # Linear: about 2x per doubling of the line count, with room for noise,
+    # and a floor so that sub-millisecond noise cannot decide the ratio.
+    assert times[20_000] <= 4 * max(times[10_000], 0.005)
+    assert times[40_000] <= 4 * max(times[20_000], 0.005)
 
 
 def test_format_parse_roundtrip():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from euleredit.oracle import (
     matching_cost,
 )
 
-from conftest import covered
+from conftest import covered, random_graph
 
 graphs = st.integers(0, 12).flatmap(
     lambda n: st.builds(
@@ -102,3 +104,15 @@ def test_min_weight_perfect_matching_against_subset_dp(data, k):
         assert m is not None
         assert covered(m.edges) == frozenset(range(k))
         assert matching_cost(m, w) == expected
+
+
+def test_max_matching_size_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(0x3A7C)
+    for _ in range(40):
+        n = rng.randint(2, 60)
+        g = random_graph(rng, n, rng.uniform(0.02, 0.5))
+        m = max_matching(g)
+        assert m.edges <= g.edges
+        want = nx.max_weight_matching(nx.Graph(list(g.edges)), maxcardinality=True)
+        assert m.size == len(want), (n, sorted(g.edges))

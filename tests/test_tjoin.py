@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,3 +115,34 @@ def test_component_parity_decides_existence():
             len(c & t) % 2 == 0 for c in components(g)
         )
         assert (j is not None) == feasible
+
+
+def test_min_t_join_size_matches_networkx():
+    # Beyond the oracle's reach: the T-join under ea against a min-weight
+    # perfect matching of T on the BFS distances in the complement, both
+    # from networkx.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(0x7A11)
+    for _ in range(40):
+        n = rng.randint(2, 60)
+        g = random_graph(rng, n, rng.uniform(0.02, 0.97))
+        t = rng.sample(range(n), 2 * rng.randint(1, n // 2))
+        base = nx.Graph(list(g.edges))
+        base.add_nodes_from(range(n))
+        co = nx.complement(base)
+        pairs = nx.Graph()
+        pairs.add_nodes_from(t)
+        for s in t:
+            dist = nx.single_source_shortest_path_length(co, s)
+            pairs.add_weighted_edges_from(
+                (s, v, dist[v]) for v in t if v > s and v in dist
+            )
+        pairing = nx.min_weight_matching(pairs)
+        j = min_t_join(build_gs(g), frozenset(t))
+        if 2 * len(pairing) < len(t):
+            assert j is None, (n, sorted(g.edges), t)
+        else:
+            want = sum(pairs[u][v]["weight"] for u, v in pairing)
+            assert j is not None and j.size == want, (n, sorted(g.edges), t)
+            assert odd_vertices(j.edges) == frozenset(t)
+            assert not j.edges & g.edges
