@@ -26,6 +26,7 @@ from .graphs import (
     ParityInstance,
     SolverInvariantError,
     StructuralCounts,
+    _normalize_edge as _edge,
     bridges,
     components,
     parity_counts,
@@ -60,10 +61,6 @@ class SolveOutcome:
     solution: EditSolution | None = None
     join_size: int | None = None
     feasible_within_budget: bool | None = None
-
-
-def _edge(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
 
 
 def _chain(u: int, stops: list[int], v: int) -> set[tuple[int, int]]:
@@ -338,9 +335,7 @@ def solve_cdpe_ea_ed(inst: ParityInstance) -> SolveOutcome:
         comps = components(g)
         if p == 2:
             which = 0 if len(comps[0]) > 1 else 1
-            xy = min(
-                e for e in sorted(g.edges) if e[0] in comps[which]
-            )
+            xy = min(e for e in g.edges if e[0] in comps[which])
             x, y = xy
             z = min(comps[1 - which])
             return _solved(
@@ -415,7 +410,7 @@ def _general_editing_witness(inst: ParityInstance, g: Graph, t_set: frozenset[in
         return set(m_edges), {_edge(u1, u2)}
 
     # u1u2 is a bridge of G+M; all matching edges sit on one side of it.
-    h_cut = Graph(h.n, h.edges - {_edge(u1, u2)})
+    h_cut = h.apply(deletions=[_edge(u1, u2)])
     side = {v: i for i, c in enumerate(components(h_cut)) for v in c}
     m_sides = {side[e[0]] for e in m_edges}
     if len(m_sides) != 1:
@@ -450,7 +445,7 @@ def solve_dpe(inst: ParityInstance, s: OperationSet) -> SolveOutcome:
         if f is None:
             return _no_instance(counts, inst.budget)
         join = f.edges
-    deletions = {e for e in join if e in g.edges}
+    deletions = {e for e in join if g.has_edge(*e)}
     additions = set(join) - deletions
     size = len(join)
     return _solved(

@@ -34,6 +34,7 @@ from .graphs import (
     OperationSet,
     ParityInstance,
     SolverInvariantError,
+    set_bits,
 )
 from .verify import verify_balance, verify_parity
 
@@ -98,7 +99,7 @@ def parse_instance(text: str) -> InstanceFile:
 
     directed = kind in ("cdbe", "dbe")
     tag = "a" if directed else "e"
-    links: set[tuple[int, int]] = set()
+    rows = [0] * n  # bit v of rows[u]: the arc or edge uv has been read
     delta: dict[int, int] = {}
     for lineno, line in lines[1:]:
         parts = line.split()
@@ -113,10 +114,11 @@ def parse_instance(text: str) -> InstanceFile:
                 raise ParseError(lineno, f"vertex out of range 0..{n - 1}")
             if u == v:
                 raise ParseError(lineno, "loops are not allowed")
-            pair = (u, v) if directed else (min(u, v), max(u, v))
-            if pair in links:
+            if rows[u] >> v & 1:
                 raise ParseError(lineno, f"duplicate {tag} {u} {v}")
-            links.add(pair)
+            rows[u] |= 1 << v
+            if not directed:
+                rows[v] |= 1 << u
         elif parts[0] == "d":
             if len(parts) != 3:
                 raise ParseError(lineno, "expected 'd <v> <value>'")
@@ -133,19 +135,18 @@ def parse_instance(text: str) -> InstanceFile:
             delta[v] = value
         else:
             raise ParseError(lineno, f"unknown line type {parts[0]!r}")
-    if len(links) != m:
-        raise ParseError(lines[-1][0], f"expected {m} {tag}-lines, found {len(links)}")
+    found = sum(row.bit_count() for row in rows) // (1 if directed else 2)
+    if found != m:
+        raise ParseError(lines[-1][0], f"expected {m} {tag}-lines, found {found}")
 
     targets = tuple(delta.get(v, 0) for v in range(n))
-    try:
-        if directed:
-            instance: ParityInstance | BalanceInstance = BalanceInstance(
-                Digraph(n, frozenset(links)), targets, budget
-            )
-        else:
-            instance = ParityInstance(Graph(n, frozenset(links)), targets, budget)
-    except GraphError as exc:
-        raise ParseError(lines[-1][0], str(exc)) from exc
+    if directed:
+        arcs = frozenset((u, v) for u, row in enumerate(rows) for v in set_bits(row))
+        instance: ParityInstance | BalanceInstance = BalanceInstance(
+            Digraph(n, arcs), targets, budget
+        )
+    else:
+        instance = ParityInstance(Graph._from_rows(n, rows), targets, budget)
     return InstanceFile(kind, opset, instance)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .graphs import Digraph, GraphError, OperationSet
+from .graphs import Digraph, GraphError, OperationSet, set_bits
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class DirectedOperationGraph:
     @cached_property
     def base(self) -> Digraph:
         def arcs(rows):
-            return frozenset((u, v) for u, row in enumerate(rows) for v in _bits(row))
+            return frozenset((u, v) for u, r in enumerate(rows) for v in set_bits(r))
 
         return Digraph(self.n, arcs(self.out), arcs(self.twice))
 
@@ -56,14 +56,6 @@ class DirectedFJoin:
     @property
     def size(self) -> int:
         return sum(self.arcs.values())
-
-
-def _bits(mask: int):
-    """The set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def build_gs_directed(g: Digraph, s: OperationSet) -> DirectedOperationGraph:
@@ -109,7 +101,7 @@ def min_f_join(
         # SPFA from the source, whose scan reaches the supplying vertices.  It
         # is never reached again: that would close a negative residual cycle.
         level = {0: supplying}  # level[d]: the vertices at distance d
-        queue = deque(_bits(supplying))
+        queue = deque(set_bits(supplying))
         for v in queue:
             dist[v] = 0
             pre[v] = source
@@ -129,10 +121,10 @@ def min_f_join(
                     for k in level:
                         level[k] &= ~hit
                     level[sink_dist] = level.get(sink_dist, 0) | hit
-                    for v in _bits(hit):
+                    for v in set_bits(hit):
                         dist[v] = sink_dist
                         pre[v] = ~sink
-                    queue.extend(_bits(hit & ~queued))
+                    queue.extend(set_bits(hit & ~queued))
                     queued |= hit
                 continue
             d = dist[u]
@@ -151,10 +143,10 @@ def min_f_join(
                     level[k] &= ~moved
                 level[d - 1] = level.get(d - 1, 0) | backward
                 level[d + 1] = level.get(d + 1, 0) | forward
-                for v in _bits(backward):
+                for v in set_bits(backward):
                     dist[v] = d - 1
                     pre[v] = ~u
-                for v in _bits(forward):
+                for v in set_bits(forward):
                     dist[v] = d + 1
                     pre[v] = u
                 # u's residual arcs in edge-list order: (w,u) backwards for
@@ -162,7 +154,7 @@ def min_f_join(
                 lower = backward & (bit - 1)
                 for group in (lower, ahead & ~lower, backward & ~lower & ~ahead):
                     if group & ~queued:
-                        queue.extend(_bits(group & ~queued))
+                        queue.extend(set_bits(group & ~queued))
                 queued |= moved
             if draining & bit and d < sink_dist:
                 sink_dist, sink_pre = d, u

@@ -9,6 +9,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 
@@ -45,81 +46,123 @@ def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
+def _check_edge(n: int, u: int, v: int) -> None:
+    if u == v:
+        raise GraphError(f"loop at vertex {u}")
+    if not (0 <= u < v < n):
+        raise GraphError(f"bad edge ({u}, {v}) for n={n}")
+
+
+def set_bits(mask: int):
+    """The set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+@dataclass(frozen=True, init=False)
 class Graph:
-    """A finite simple undirected graph on vertices 0..n-1."""
+    """A finite simple undirected graph on vertices 0..n-1.
+
+    Its state is one neighbourhood bitmask per vertex: bit v of
+    ``adjacency_bits[u]`` is set when uv is an edge.  Equality and hashing
+    compare these rows; the edge set is derived from them when first read.
+    """
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    adjacency_bits: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise GraphError(f"negative vertex count: {self.n}")
-        for u, v in self.edges:
-            if u == v:
-                raise GraphError(f"loop at vertex {u}")
-            if not (0 <= u < v < self.n):
-                raise GraphError(f"bad edge ({u}, {v}) for n={self.n}")
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]) -> None:
+        if n < 0:
+            raise GraphError(f"negative vertex count: {n}")
+        edges = frozenset(edges)
+        rows = [0] * n
+        for u, v in edges:
+            _check_edge(n, u, v)
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adjacency_bits", tuple(rows))
+        object.__setattr__(self, "edges", edges)
+
+    @classmethod
+    def _from_rows(cls, n: int, rows: Iterable[int]) -> "Graph":
+        """A graph on trusted rows: symmetric, loop-free and within n bits."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adjacency_bits", tuple(rows))
+        return g
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         return cls(n, frozenset(_normalize_edge(u, v) for u, v in edges))
 
-    @property
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(
+            (u, v)
+            for u, row in enumerate(self.adjacency_bits)
+            for v in set_bits(row >> u << u)
+        )
+
+    @cached_property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(row.bit_count() for row in self.adjacency_bits) // 2
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        neighbors: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            neighbors[u].append(v)
-            neighbors[v].append(u)
-        return tuple(tuple(sorted(ns)) for ns in neighbors)
-
-    @cached_property
-    def adjacency_bits(self) -> tuple[int, ...]:
-        # Neighborhoods as bitmasks; makes BFS/components O(n^2 / wordsize).
-        bits = [0] * self.n
-        for u, v in self.edges:
-            bits[u] |= 1 << v
-            bits[v] |= 1 << u
-        return tuple(bits)
+        # tuple() sizes a list exactly but over-allocates and then shrinks a
+        # generator's result, a churn that left peak RSS higher.
+        return tuple(tuple(list(set_bits(row))) for row in self.adjacency_bits)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _normalize_edge(u, v) in self.edges
+        n = self.n
+        return 0 <= u < n and 0 <= v < n and self.adjacency_bits[u] >> v & 1 == 1
 
     def degree(self, v: int) -> int:
         return self.adjacency_bits[v].bit_count()
 
     def complement(self) -> "Graph":
-        missing = (
-            (u, v)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if (u, v) not in self.edges
+        full = (1 << self.n) - 1
+        return Graph._from_rows(
+            self.n, [full ^ row ^ 1 << v for v, row in enumerate(self.adjacency_bits)]
         )
-        return Graph(self.n, frozenset(missing))
 
     def induced(self, vertices: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         """Induced subgraph plus the sorted original labels of its vertices."""
         labels = tuple(sorted(set(vertices)))
-        index = {v: i for i, v in enumerate(labels)}
-        edges = frozenset(
-            (index[u], index[v])
-            for u, v in self.edges
-            if u in index and v in index
-        )
-        return Graph(len(labels), edges), labels
+        if not labels:
+            return Graph._from_rows(0, []), labels
+        if labels[0] < 0 or labels[-1] >= self.n:
+            raise GraphError(f"vertices out of range 0..{self.n - 1}")
+        # Row i of the subgraph keeps the bits of labels[i]'s row at the label
+        # positions: pick those characters of the row's n-digit binary form,
+        # highest label first.
+        pick = itemgetter(*(self.n - 1 - v for v in reversed(labels)))
+        digits = f"0{self.n}b"
+        rows = [
+            int("".join(pick(format(self.adjacency_bits[v], digits))), 2)
+            for v in labels
+        ]
+        return Graph._from_rows(len(labels), rows), labels
 
     def apply(
         self,
         additions: Iterable[tuple[int, int]] = (),
         deletions: Iterable[tuple[int, int]] = (),
     ) -> "Graph":
-        added = {_normalize_edge(u, v) for u, v in additions}
-        removed = {_normalize_edge(u, v) for u, v in deletions}
-        return Graph(self.n, (self.edges | added) - removed)
+        """G with the additions set, then the deletions cleared."""
+        rows = list(self.adjacency_bits)
+        for u, v in additions:
+            _check_edge(self.n, *_normalize_edge(u, v))
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        for u, v in deletions:
+            _check_edge(self.n, *_normalize_edge(u, v))
+            rows[u] &= ~(1 << v)
+            rows[v] &= ~(1 << u)
+        return Graph._from_rows(self.n, rows)
 
 
 @dataclass(frozen=True)
@@ -172,7 +215,11 @@ class Digraph:
 
     @cached_property
     def underlying(self) -> Graph:
-        return Graph.from_edges(self.n, self.arcs)
+        rows = [0] * self.n
+        for u, v in self.arcs:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        return Graph._from_rows(self.n, rows)
 
     def apply(
         self,
@@ -247,10 +294,7 @@ def bfs_layers(bits: Sequence[int], source: int) -> list[int]:
     while frontier:
         layers.append(frontier)
         grow = 0
-        f = frontier
-        while f:
-            v = (f & -f).bit_length() - 1
-            f &= f - 1
+        for v in set_bits(frontier):
             grow |= bits[v]
         frontier = grow & ~seen
         seen |= frontier
@@ -269,21 +313,12 @@ def components(g: Graph | Digraph) -> list[frozenset[int]]:
         for layer in bfs_layers(bits, start):
             comp |= layer
         unseen &= ~comp
-        members = []
-        c = comp
-        while c:
-            v = (c & -c).bit_length() - 1
-            c &= c - 1
-            members.append(v)
-        result.append(frozenset(members))
+        result.append(frozenset(set_bits(comp)))
     return result
 
 
 def is_connected(g: Graph | Digraph) -> bool:
-    graph = g.underlying if isinstance(g, Digraph) else g
-    if graph.n <= 1:
-        return True
-    return len(components(graph)) == 1
+    return len(components(g)) <= 1
 
 
 def bridges(g: Graph) -> frozenset[tuple[int, int]]:
@@ -328,13 +363,9 @@ def parity_counts(inst: ParityInstance) -> StructuralCounts:
     deficient = frozenset(
         v for v in range(g.n) if g.degree(v) % 2 != inst.delta[v]
     )
-    plain = 0
-    hit = 0
-    for comp in components(g):
-        if comp & deficient:
-            hit += 1
-        else:
-            plain += 1
+    comps = components(g)
+    hit = sum(1 for comp in comps if comp & deficient)
+    plain = len(comps) - hit
     return StructuralCounts(
         deficient=deficient,
         plain_components=plain,
@@ -351,13 +382,9 @@ def balance_counts(inst: BalanceInstance) -> StructuralCounts:
         v: inst.delta[v] - bal[v] for v in range(g.n) if bal[v] != inst.delta[v]
     }
     deficient = frozenset(imbalance)
-    plain = 0
-    hit = 0
-    for comp in components(g):
-        if comp & deficient:
-            hit += 1
-        else:
-            plain += 1
+    comps = components(g)
+    hit = sum(1 for comp in comps if comp & deficient)
+    plain = len(comps) - hit
     return StructuralCounts(
         deficient=deficient,
         plain_components=plain,

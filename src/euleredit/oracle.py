@@ -46,6 +46,7 @@ def _pairs(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def _mask_connected(n: int, pairs, mask: int) -> bool:
+    """Whether the pairs picked by ``mask`` connect all n vertices (weakly)."""
     adj = [0] * n
     i = 0
     m = mask
@@ -163,31 +164,6 @@ def _arcs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((u, v) for u in range(n) for v in range(n) if u != v)
 
 
-def _arc_mask_connected(n: int, arcs, mask: int) -> bool:
-    adj = [0] * n
-    i = 0
-    m = mask
-    while m:
-        if m & 1:
-            u, v = arcs[i]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        m >>= 1
-        i += 1
-    seen = 1
-    frontier = 1
-    while frontier:
-        grow = 0
-        f = frontier
-        while f:
-            v = (f & -f).bit_length() - 1
-            f &= f - 1
-            grow |= adj[v]
-        frontier = grow & ~seen
-        seen |= frontier
-    return seen == (1 << n) - 1
-
-
 def _balance_key(n: int, values: Mapping[int, int] | list | tuple) -> int:
     # One nibble per vertex, offset 8; |balance| <= n-1 <= 7 so no carries.
     key = 0
@@ -210,7 +186,7 @@ def _directed_tables(n: int):
         packed[hit] += (1 << (4 * u)) - (1 << (4 * v))
         pop[hit] += 1
     conn = np.fromiter(
-        (_arc_mask_connected(n, arcs, m) for m in range(size)), dtype=bool, count=size
+        (_mask_connected(n, arcs, m) for m in range(size)), dtype=bool, count=size
     )
     return packed, conn, pop
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, SolverInvariantError, bfs_layers, components
+from .graphs import Graph, SolverInvariantError, bfs_layers, components, set_bits
 from .matching import (
     FORBIDDEN,
     WeightedCompleteGraph,
@@ -56,18 +56,21 @@ def min_t_join(gs: OperationGraph, t_set: frozenset[int] | set[int]) -> TJoin | 
             return None
 
     terminals = sorted(t_set)
+    index = {s: i for i, s in enumerate(terminals)}
+    tmask = sum(1 << s for s in terminals)
     bits = base.adjacency_bits
     layers = {s: bfs_layers(bits, s) for s in terminals}
     k = len(terminals)
     weight = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            # The distance is the index of the layer that holds the vertex.
-            hit = 1 << terminals[j]
-            weight[(i, j)] = next(
-                (d for d, layer in enumerate(layers[terminals[i]]) if layer & hit),
-                FORBIDDEN,
-            )
+    for i, s in enumerate(terminals):
+        # The distance row of s: terminal t > s sits in the layer d = dist(s, t).
+        later = (tmask >> s + 1) << s + 1
+        for d, layer in enumerate(layers[s]):
+            for t in set_bits(layer & later):
+                weight[(i, index[t])] = d
+            later &= ~layer
+        for t in set_bits(later):
+            weight[(i, index[t])] = FORBIDDEN
     matching = min_weight_perfect_matching(WeightedCompleteGraph(k, weight))
     if matching is None:
         raise SolverInvariantError("no perfect matching of T, yet T-joins exist")

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from .graphs import (
     BalanceInstance,
     Digraph,
-    Graph,
     ParityInstance,
     is_connected,
 )
@@ -37,19 +36,20 @@ def verify_parity(
     require_connected: bool = True,
 ) -> VerifyReport:
     g = inst.graph
-    additions = {tuple(sorted(e)) for e in additions}
-    deletions = {tuple(sorted(e)) for e in deletions}
+    additions = {(u, v) if u < v else (v, u) for u, v in additions}
+    deletions = {(u, v) if u < v else (v, u) for u, v in deletions}
     failures: list[str] = []
     if additions & deletions:
         failures.append("not-disjoint")
-    if any(e in g.edges for e in additions):
+    if any(g.has_edge(u, v) for u, v in additions):
         failures.append("addition-is-edge")
-    if any(e not in g.edges for e in deletions):
+    if not all(g.has_edge(u, v) for u, v in deletions):
         failures.append("deletion-not-edge")
     if failures:
         return VerifyReport(tuple(failures))
 
-    h = Graph(g.n, (g.edges | additions) - deletions)
+    # Raises GraphError on an addition that is a loop or out of range.
+    h = g.apply(additions, deletions)
     if require_connected and not is_connected(h):
         failures.append("disconnected")
     for v in range(g.n):

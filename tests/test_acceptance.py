@@ -336,6 +336,11 @@ def test_dense_solvers_at_n600():
     assert _timed_solve(600, pair_directly) < 3.0
 
 
+def test_dense_solvers_at_n1000():
+    assert _timed_solve(1000) < 2.0
+    assert _timed_solve(1000, solve_cdpe_ea_ed) < 1.2
+
+
 def test_directed_solver_at_n200():
     # Targets in [-2, 2] leave 338 units of supply for the f-join's flow.
     rng = random.Random(0xD1E5)

@@ -209,6 +209,11 @@ def test_verify_command(tmp_path, capsys):
     sol.write_text(json.dumps({"additions": [[0, 2]], "deletions": []}))
     code, out, _ = _run(capsys, "verify", "--in", str(inst), "--sol", str(sol))
     assert code == 2 and not json.loads(out)["valid"]
+    # An addition outside the vertex range is an input error, not a verdict.
+    for bad in ([0, 3], [-1, 2], [1, 1]):
+        sol.write_text(json.dumps({"additions": [bad], "deletions": []}))
+        code, out, err = _run(capsys, "verify", "--in", str(inst), "--sol", str(sol))
+        assert code == 1 and out == "" and err.startswith("error:")
     # A directed file is checked for balance: the arc 0->1 fixes it.
     inst.write_text("p cdbe ea 2 0\nd 0 1\nd 1 -1\n")
     sol.write_text(json.dumps({"additions": [[0, 1]], "deletions": [], "opt": 1}))

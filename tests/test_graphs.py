@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -148,3 +151,73 @@ def test_balance_counts():
     assert counts.total_imbalance == 2
     assert counts.plain_components == 1
     assert counts.deficient_components == 1
+
+
+def _norm(pairs):
+    return frozenset((u, v) if u < v else (v, u) for u, v in pairs)
+
+
+def test_row_graph_matches_edge_set_definitions():
+    # Every Graph method against its definition on plain edge sets.
+    rng = random.Random(0x6A7F)
+    for _ in range(150):
+        n = rng.randint(0, 40)
+        pairs = list(combinations(range(n), 2))
+        density = rng.random()
+        edges = frozenset(e for e in pairs if rng.random() < density)
+        g = Graph(n, edges)
+        assert g.edges == edges and g.m == len(edges)
+        for v in range(n):
+            nbrs = tuple(sorted(w for e in edges if v in e for w in e if w != v))
+            assert g.adjacency[v] == nbrs and g.degree(v) == len(nbrs)
+        for u in range(-2, n + 2):
+            for v in range(-2, n + 2):
+                assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edges)
+        flipped = [(v, u) for u, v in edges]
+        assert Graph.from_edges(n, flipped) == g
+        assert hash(Graph.from_edges(n, flipped)) == hash(g)
+
+        missing = frozenset(pairs) - edges
+        comp = g.complement()
+        assert comp == Graph(n, missing) and comp.edges == missing
+        assert comp.m == len(missing) and hash(comp) == hash(Graph(n, missing))
+
+        additions, deletions = (
+            [e[:: rng.choice((1, -1))] for e in rng.sample(pairs, len(pairs) // 4)]
+            for _ in range(2)
+        )
+        h = g.apply(additions, deletions)
+        want = (edges | _norm(additions)) - _norm(deletions)
+        assert h == Graph(n, want) and h.edges == want and h.m == len(want)
+        assert hash(h) == hash(Graph(n, want))
+        assert g.apply(additions=additions) == Graph(n, edges | _norm(additions))
+        assert g.apply(deletions=deletions) == Graph(n, edges - _norm(deletions))
+
+        vertices = rng.sample(range(n), rng.randint(0, n))
+        sub, labels = g.induced(vertices)
+        assert labels == tuple(sorted(vertices))
+        index = {v: i for i, v in enumerate(labels)}
+        kept = {(index[u], index[v]) for u, v in edges if u in index and v in index}
+        assert sub == Graph(len(labels), frozenset(kept)) and sub.edges == kept
+
+        arcs = frozenset(e[:: rng.choice((1, -1))] for e in edges)
+        assert from_arcs(n, arcs).underlying == g
+
+
+def test_row_graph_rejects_what_the_edge_set_graph_rejects():
+    g = Graph(3, frozenset({(1, 2)}))
+    # Row 2 has bit 1 set, so a negative index would wrap round to it.
+    assert not g.has_edge(-1, 1) and not g.has_edge(1, -1)
+    assert not g.has_edge(1, 3) and not g.has_edge(3, 1)
+    for pair in ((1, 1), (0, 3), (-1, 2), (3, 0)):
+        with pytest.raises(GraphError):
+            g.apply(additions=[pair])
+        with pytest.raises(GraphError):
+            g.apply(deletions=[pair])
+    with pytest.raises(GraphError, match="loop at vertex 1"):
+        g.apply(additions=[(1, 1)])
+    with pytest.raises(GraphError, match=r"bad edge \(0, 3\) for n=3"):
+        g.apply(additions=[(3, 0)])
+    with pytest.raises(GraphError):
+        g.induced({0, 3})
+    assert g != Graph(3, frozenset({(0, 1)})) and g != Graph(4, frozenset({(1, 2)}))
