@@ -18,6 +18,7 @@ errors, 3 a solver whose witness failed its own check.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -67,15 +68,14 @@ class InstanceFile:
 
 
 def parse_instance(text: str) -> InstanceFile:
-    lines = [
-        (i, line)
-        for i, raw in enumerate(text.splitlines(), 1)
-        if (line := raw.strip()) and not line.startswith("c")
-    ]
-    if not lines:
+    # One pass, one split per line; blank lines and "c..." comments are skipped.
+    lines = enumerate(text.splitlines(), 1)
+    for lineno, raw in lines:
+        fields = raw.split()
+        if fields and fields[0][0] != "c":
+            break
+    else:
         raise ParseError(1, "empty instance")
-    lineno, header = lines[0]
-    fields = header.split()
     if len(fields) not in (5, 6) or fields[0] != "p":
         raise ParseError(lineno, "expected header 'p <kind> <opset> <n> <m> [k]'")
     kind = fields[1]
@@ -101,8 +101,12 @@ def parse_instance(text: str) -> InstanceFile:
     tag = "a" if directed else "e"
     rows = [0] * n  # bit v of rows[u]: the arc or edge uv has been read
     delta: dict[int, int] = {}
-    for lineno, line in lines[1:]:
-        parts = line.split()
+    last = lineno  # the m-check names the last non-blank, non-comment line
+    for lineno, raw in lines:
+        parts = raw.split()
+        if not parts or parts[0][0] == "c":
+            continue
+        last = lineno
         if parts[0] == tag:
             if len(parts) != 3:
                 raise ParseError(lineno, f"expected '{tag} <u> <v>'")
@@ -137,7 +141,7 @@ def parse_instance(text: str) -> InstanceFile:
             raise ParseError(lineno, f"unknown line type {parts[0]!r}")
     found = sum(row.bit_count() for row in rows) // (1 if directed else 2)
     if found != m:
-        raise ParseError(lines[-1][0], f"expected {m} {tag}-lines, found {found}")
+        raise ParseError(last, f"expected {m} {tag}-lines, found {found}")
 
     targets = tuple(delta.get(v, 0) for v in range(n))
     if directed:
@@ -306,6 +310,7 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="euleredit")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 from typing import Mapping
 
-from .graphs import Graph
+from .graphs import Graph, set_bits
 
 FORBIDDEN = math.inf
 
@@ -43,43 +45,53 @@ class Matching:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WeightedCompleteGraph:
     """Symmetric non-negative integer weights on all pairs of 0..k-1.
 
-    ``FORBIDDEN`` (infinity) marks pairs a perfect matching must avoid.
+    ``FORBIDDEN`` (infinity) marks pairs a perfect matching must avoid.  The
+    state is ``edges``: the other pairs as (u, v, weight), u < v, in (u, v)
+    order.  ``weight`` maps every pair u < v and is derived when first read.
     """
 
     k: int
-    weight: Mapping[tuple[int, int], float]
+    edges: list[tuple[int, int, int]]
 
-    def __post_init__(self) -> None:
-        for u in range(self.k):
-            for v in range(u + 1, self.k):
-                w = self.weight.get((u, v), self.weight.get((v, u)))
-                if w is None:
-                    raise ValueError(f"weight missing for pair ({u}, {v})")
-                if w != FORBIDDEN and (w < 0 or int(w) != w):
-                    raise ValueError(f"weights must be non-negative integers, got {w}")
+    def __init__(self, k: int, weight: Mapping[tuple[int, int], float]) -> None:
+        edges = []
+        for u, v in combinations(range(k), 2):
+            w = weight.get((u, v), weight.get((v, u)))
+            if w is None:
+                raise ValueError(f"weight missing for pair ({u}, {v})")
+            if w != FORBIDDEN and (w < 0 or int(w) != w):
+                raise ValueError(f"weights must be non-negative integers, got {w}")
+            if w != FORBIDDEN:
+                edges.append((u, v, int(w)))
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "edges", edges)
 
-    def get(self, u: int, v: int) -> float:
-        w = self.weight.get((u, v))
-        if w is None:
-            w = self.weight[(v, u)]
+    @classmethod
+    def _from_edges(cls, k: int, edges: list[tuple[int, int, int]]):
+        """A table on trusted edges, listed as ``edges`` lists them."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "k", k)
+        object.__setattr__(w, "edges", edges)
         return w
 
-    def allowed_edges(self) -> list[tuple[int, int, int]]:
-        return [
-            (u, v, int(self.get(u, v)))
-            for u in range(self.k)
-            for v in range(u + 1, self.k)
-            if self.get(u, v) != FORBIDDEN
-        ]
+    @cached_property
+    def weight(self) -> dict[tuple[int, int], float]:
+        weight = dict.fromkeys(combinations(range(self.k), 2), FORBIDDEN)
+        weight.update(((u, v), w) for u, v, w in self.edges)
+        return weight
+
+    def get(self, u: int, v: int) -> float:
+        return self.weight[(u, v) if u < v else (v, u)]
 
 
 def max_matching(g: Graph) -> Matching:
     """A maximum-cardinality matching of ``g`` (blossom algorithm)."""
-    edges = [(u, v, 1) for u, v in sorted(g.edges)]
+    rows = enumerate(g.adjacency_bits)
+    edges = [(u, v, 1) for u, row in rows for v in set_bits(row >> u + 1 << u + 1)]
     mate = _max_weight_matching(g.n, edges, maxcardinality=False)
     return Matching(frozenset((u, mate[u]) for u in range(g.n) if u < mate[u] != -1))
 
@@ -90,11 +102,10 @@ def min_weight_perfect_matching(w: WeightedCompleteGraph) -> Matching | None:
         return None
     if w.k == 0:
         return Matching(frozenset())
-    edges = w.allowed_edges()
-    maxw = max((wt for _, _, wt in edges), default=0)
+    maxw = max((wt for _, _, wt in w.edges), default=0)
     # Flip weights so that maximum-weight maximum-cardinality matching on the
     # allowed pairs is exactly the minimum-weight perfect matching.
-    flipped = [(u, v, maxw - wt) for u, v, wt in edges]
+    flipped = [(u, v, maxw - wt) for u, v, wt in w.edges]
     mate = _max_weight_matching(w.k, flipped, maxcardinality=True)
     if any(m == -1 for m in mate):
         return None
@@ -131,30 +142,32 @@ def _max_weight_matching(
     if n == 0 or not edges:
         return [-1] * n
 
-    weight: dict[tuple[int, int], int] = {}
+    # Vertex-indexed state lives in lists; maps that also hold blossoms stay
+    # dicts, whose insertion order fixes the scan order and so the tie-breaks.
+    weight: list[dict[int, int]] = [{} for _ in range(n)]
     neighbors: list[list[int]] = [[] for _ in range(n)]
     for u, v, wt in edges:
         if u == v:
             continue
-        weight[(u, v)] = weight[(v, u)] = wt
+        weight[u][v] = weight[v][u] = wt
         neighbors[u].append(v)
         neighbors[v].append(u)
-    maxweight = max(weight.values())
+    maxweight = max(max(row.values()) for row in weight if row)
 
-    mate: dict[int, int] = {}
+    mate = [-1] * n
     label: dict = {}
     labeledge: dict = {}
-    inblossom = {v: v for v in range(n)}
+    inblossom: list = list(range(n))
     blossomparent: dict = {v: None for v in range(n)}
     blossombase = {v: v for v in range(n)}
     bestedge: dict = {}
-    dualvar = {v: maxweight for v in range(n)}
+    dualvar = [maxweight] * n
     blossomdual: dict = {}
     allowedge: dict = {}
     queue: list[int] = []
 
     def slack(v, w):
-        return dualvar[v] + dualvar[w] - 2 * weight[(v, w)]
+        return dualvar[v] + dualvar[w] - 2 * weight[v][w]
 
     def assign_label(w, t, v):
         b = inblossom[w]
@@ -188,7 +201,7 @@ def _max_weight_matching(
             path.append(b)
             label[b] = 5
             if labeledge[b] is None:
-                assert blossombase[b] not in mate
+                assert mate[blossombase[b]] == -1
                 v = None
             else:
                 assert labeledge[b][0] == mate[blossombase[b]]
@@ -423,7 +436,7 @@ def _max_weight_matching(
         queue[:] = []
 
         for v in range(n):
-            if (v not in mate) and label.get(inblossom[v]) is None:
+            if mate[v] == -1 and label.get(inblossom[v]) is None:
                 assign_label(v, 1, None)
 
         augmented = 0
@@ -473,7 +486,7 @@ def _max_weight_matching(
 
             if not maxcardinality:
                 deltatype = 1
-                delta = min(dualvar.values())
+                delta = min(dualvar)
 
             for v in range(n):
                 if label.get(inblossom[v]) is None and bestedge.get(v) is not None:
@@ -511,7 +524,7 @@ def _max_weight_matching(
                 # Maximum cardinality reached; normalize duals and stop.
                 assert maxcardinality
                 deltatype = 1
-                delta = max(0, min(dualvar.values()))
+                delta = max(0, min(dualvar))
 
             for v in range(n):
                 lbl = label.get(inblossom[v])
@@ -541,8 +554,8 @@ def _max_weight_matching(
             else:
                 expand_blossom(deltablossom, False)
 
-        for v in mate:
-            assert mate[mate[v]] == v
+        for v in range(n):
+            assert mate[v] == -1 or mate[mate[v]] == v
         if not augmented:
             break
 
@@ -552,4 +565,4 @@ def _max_weight_matching(
             if blossomparent[b] is None and label.get(b) == 1 and blossomdual[b] == 0:
                 expand_blossom(b, True)
 
-    return [mate.get(v, -1) for v in range(n)]
+    return mate

@@ -14,11 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, SolverInvariantError, bfs_layers, components, set_bits
-from .matching import (
-    FORBIDDEN,
-    WeightedCompleteGraph,
-    min_weight_perfect_matching,
-)
+from .matching import WeightedCompleteGraph, min_weight_perfect_matching
 
 
 @dataclass(frozen=True)
@@ -61,17 +57,18 @@ def min_t_join(gs: OperationGraph, t_set: frozenset[int] | set[int]) -> TJoin | 
     bits = base.adjacency_bits
     layers = {s: bfs_layers(bits, s) for s in terminals}
     k = len(terminals)
-    weight = {}
+    rows, edges = [], []
     for i, s in enumerate(terminals):
         # The distance row of s: terminal t > s sits in the layer d = dist(s, t).
+        # A terminal no layer reaches stays None: a FORBIDDEN pair, left out.
+        row = [None] * k
+        rows.append(row)
         later = (tmask >> s + 1) << s + 1
         for d, layer in enumerate(layers[s]):
             for t in set_bits(layer & later):
-                weight[(i, index[t])] = d
-            later &= ~layer
-        for t in set_bits(later):
-            weight[(i, index[t])] = FORBIDDEN
-    matching = min_weight_perfect_matching(WeightedCompleteGraph(k, weight))
+                row[index[t]] = d
+        edges += [(i, j, d) for j, d in enumerate(row[i + 1 :], i + 1) if d is not None]
+    matching = min_weight_perfect_matching(WeightedCompleteGraph._from_edges(k, edges))
     if matching is None:
         raise SolverInvariantError("no perfect matching of T, yet T-joins exist")
 
@@ -80,7 +77,7 @@ def min_t_join(gs: OperationGraph, t_set: frozenset[int] | set[int]) -> TJoin | 
         s = terminals[i]
         v = terminals[j]
         # Parent of v at distance d: its smallest-index neighbour at d-1.
-        for layer in reversed(layers[s][: weight[(i, j)]]):
+        for layer in reversed(layers[s][: rows[i][j]]):
             low = bits[v] & layer
             u = (low & -low).bit_length() - 1
             e = (u, v) if u < v else (v, u)

@@ -5,7 +5,9 @@ from itertools import combinations
 import pytest
 
 from euleredit import Digraph, Graph
+from euleredit.cli import KINDS, MAX_VERTICES, InstanceFile, ParseError
 from euleredit.fjoin import DirectedFJoin
+from euleredit.graphs import BalanceInstance, OperationSet, ParityInstance, set_bits
 
 
 def random_graph(rng: random.Random, n: int, density: float = 0.5) -> Graph:
@@ -174,3 +176,87 @@ def reference_min_f_join(gs, f) -> DirectedFJoin | None:
         return None
     used = {arc: base.multiplicity(arc) - net.cap[e] for arc, e in arc_edge.items()}
     return DirectedFJoin({arc: x for arc, x in used.items() if x > 0})
+
+
+def reference_parse_instance(text: str) -> InstanceFile:
+    """``cli.parse_instance`` as a filtered list of stripped, numbered lines,
+    each split again when it is read."""
+    lines = [
+        (i, line)
+        for i, raw in enumerate(text.splitlines(), 1)
+        if (line := raw.strip()) and not line.startswith("c")
+    ]
+    if not lines:
+        raise ParseError(1, "empty instance")
+    lineno, header = lines[0]
+    fields = header.split()
+    if len(fields) not in (5, 6) or fields[0] != "p":
+        raise ParseError(lineno, "expected header 'p <kind> <opset> <n> <m> [k]'")
+    kind = fields[1]
+    if kind not in KINDS:
+        raise ParseError(lineno, f"unknown problem kind {kind!r}")
+    try:
+        opset = OperationSet.from_string(fields[2])
+    except ValueError as exc:
+        raise ParseError(lineno, str(exc)) from exc
+    try:
+        n, m = int(fields[3]), int(fields[4])
+        budget = int(fields[5]) if len(fields) == 6 else None
+    except ValueError as exc:
+        raise ParseError(lineno, "n, m and k must be integers") from exc
+    if n <= 0:
+        raise ParseError(lineno, "n must be positive")
+    if n > MAX_VERTICES:
+        raise ParseError(lineno, f"n must be at most {MAX_VERTICES}")
+    if budget is not None and budget < 0:
+        raise ParseError(lineno, "budget must be non-negative")
+
+    directed = kind in ("cdbe", "dbe")
+    tag = "a" if directed else "e"
+    rows = [0] * n
+    delta: dict[int, int] = {}
+    for lineno, line in lines[1:]:
+        parts = line.split()
+        if parts[0] == tag:
+            if len(parts) != 3:
+                raise ParseError(lineno, f"expected '{tag} <u> <v>'")
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError as exc:
+                raise ParseError(lineno, "endpoints must be integers") from exc
+            if not (0 <= u < n and 0 <= v < n):
+                raise ParseError(lineno, f"vertex out of range 0..{n - 1}")
+            if u == v:
+                raise ParseError(lineno, "loops are not allowed")
+            if rows[u] >> v & 1:
+                raise ParseError(lineno, f"duplicate {tag} {u} {v}")
+            rows[u] |= 1 << v
+            if not directed:
+                rows[v] |= 1 << u
+        elif parts[0] == "d":
+            if len(parts) != 3:
+                raise ParseError(lineno, "expected 'd <v> <value>'")
+            try:
+                v, value = int(parts[1]), int(parts[2])
+            except ValueError as exc:
+                raise ParseError(lineno, "delta entries must be integers") from exc
+            if not 0 <= v < n:
+                raise ParseError(lineno, f"vertex out of range 0..{n - 1}")
+            if v in delta:
+                raise ParseError(lineno, f"duplicate delta for vertex {v}")
+            if not directed and value not in (0, 1):
+                raise ParseError(lineno, "parity targets must be 0 or 1")
+            delta[v] = value
+        else:
+            raise ParseError(lineno, f"unknown line type {parts[0]!r}")
+    found = sum(row.bit_count() for row in rows) // (1 if directed else 2)
+    if found != m:
+        raise ParseError(lines[-1][0], f"expected {m} {tag}-lines, found {found}")
+
+    targets = tuple(delta.get(v, 0) for v in range(n))
+    if directed:
+        arcs = frozenset((u, v) for u, row in enumerate(rows) for v in set_bits(row))
+        instance = BalanceInstance(Digraph(n, arcs), targets, budget)
+    else:
+        instance = ParityInstance(Graph._from_rows(n, rows), targets, budget)
+    return InstanceFile(kind, opset, instance)

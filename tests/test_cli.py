@@ -12,7 +12,17 @@ import euleredit.cli
 import euleredit.tjoin
 from euleredit import SolverInvariantError, VerifyReport
 from euleredit.tjoin import build_gs, min_t_join
-from euleredit.cli import ParseError, _solve, format_instance, main, parse_instance
+from euleredit.cli import (
+    ParseError,
+    _solve,
+    format_instance,
+    generate_instance,
+    main,
+    parse_instance,
+)
+from euleredit.graphs import OperationSet
+
+from conftest import reference_parse_instance as reference
 
 P3 = "p cdpe ea 3 2\ne 0 1\ne 1 2\nd 0 1\nd 2 1\n"
 
@@ -106,6 +116,74 @@ def test_parse_is_linear():
     assert times[40_000] <= 4 * max(times[20_000], 0.005)
 
 
+# Lines a mutation may insert: blanks, indented comments, wrong arity,
+# non-integers (int() accepts "+3" and Unicode digits), out-of-range
+# vertices and loops.
+_NOISE = [
+    "", "   ", "\t", "  c indented comment", "\tc", "cx", "c", "e", "a", "d", "x 1 2",
+    "e 0", "e 0 1 2", "a 1", "a 0 1 2", "d 0", "d 0 1 1", "e x 1", "a 0 y",
+    "d z 1", "e 0 +3", "a +1 0", "d +1 1", "e \u0661 0", "a 0 \u0663", "d \u0660 1",
+    "e 1.0 2", "e -1 0", "a 0 99", "d 99 1", "e 2 2", "a 1 1", "d 1 -1", "d 0 2",
+    "p cdpe ea 3 0",
+]
+_BREAKS = ["\n", "\r\n", "\r", "\x0c", "\x1c", "\x85", "\u2028"]
+
+
+def _mutant(rng: random.Random, lines: list[str]) -> str:
+    lines = list(lines)
+    for _ in range(rng.randint(1, 3)):
+        op = rng.randrange(6)
+        at = rng.randint(0, len(lines))
+        if op == 0:
+            lines.insert(at, rng.choice(_NOISE))
+        elif op == 1 and lines:
+            lines.insert(at, rng.choice(lines))  # a duplicate
+        elif op == 2 and lines:
+            u, *rest = lines.pop(rng.randrange(len(lines))).split() or [""]
+            lines.insert(at, " ".join([u, *reversed(rest)]))
+        elif op == 3 and len(lines) > 1:
+            del lines[rng.randrange(1, len(lines))]  # an m-mismatch or a lost d-line
+            lines += ["c trailing"] * rng.randint(0, 2) + [""] * rng.randint(0, 1)
+        elif op == 4 and lines:
+            pad = rng.choice(["", " ", "\t"])
+            lines[at - 1] = " " * rng.randint(0, 2) + lines[at - 1] + pad
+        elif op == 5 and lines:
+            head = lines[0].split()
+            if len(head) >= 5:
+                value = rng.choice(["0", "-1", "x", "+2", "99999", "dbe", "ea+ed"])
+                head[rng.randrange(1, len(head))] = value
+                lines[0] = " ".join(head)
+    out = []
+    for line in lines:
+        out += [line, rng.choice(_BREAKS)]
+    return "".join(out[: rng.choice([-1, len(out)])])
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:  # any difference in type or message counts
+        return type(exc), str(exc)
+
+
+def test_parse_matches_reference_on_mutated_files():
+    rng = random.Random(0xF11E)
+    bases = [[], ["", "   "], ["c only comments", "  c"], ["p cdbe ea+ed 3 0 2"]]
+    for kind in ("cdpe", "dpe", "cdbe", "dbe"):
+        for n in (1, 2, 5, 9):
+            for opset in (OperationSet.ADD, OperationSet.ADD_DELETE):
+                seed = rng.randrange(1 << 30)
+                inst_file = generate_instance(kind, opset, n, 0.4, seed)
+                bases.append(format_instance(inst_file).splitlines())
+    for _ in range(40):
+        for lines in bases:
+            text = _mutant(rng, lines)
+            assert _outcome(parse_instance, text) == _outcome(reference, text), text
+    for lines in bases:
+        text = "\n".join(lines)
+        assert _outcome(parse_instance, text) == _outcome(reference, text), text
+
+
 def test_format_parse_roundtrip():
     inst_file = parse_instance(P3)
     assert parse_instance(format_instance(inst_file)) == inst_file
@@ -155,6 +233,9 @@ def test_solve_no_connectivity_flag(tmp_path, capsys):
     assert json.loads(out)["opt"] == 4  # two K2s must be joined by a C4
     code, out, _ = _run(capsys, "solve", "--in", str(path), "--no-connectivity")
     assert json.loads(out)["opt"] == 0
+    # The parser is built once per process; no parsed flag outlives its call.
+    code, out, _ = _run(capsys, "solve", "--in", str(path))
+    assert json.loads(out)["opt"] == 4
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -17,6 +19,7 @@ from euleredit.oracle import (
     brute_force_min_perfect_cost,
     matching_cost,
 )
+from euleredit.tjoin import build_gs, min_t_join
 
 from conftest import covered, random_graph
 
@@ -116,3 +119,55 @@ def test_max_matching_size_matches_networkx():
         assert m.edges <= g.edges
         want = nx.max_weight_matching(nx.Graph(list(g.edges)), maxcardinality=True)
         assert m.size == len(want), (n, sorted(g.edges))
+
+
+def _digest(results) -> str:
+    text = json.dumps(results, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _pairs(m) -> list | None:  # a Matching or a TJoin
+    return None if m is None else sorted(map(list, m.edges))
+
+
+def _blossom_decisions() -> dict[str, str]:
+    """Digests of the exact matchings and joins chosen at bench sizes.
+
+    Any two optimal matchings have the same size and cost, so the size
+    checks above cannot see a change in the blossom's tie-breaks; these
+    digests can.  They were computed with the blossom's earlier, dict-based
+    state.
+    """
+    rng = random.Random(0xB10550)
+    tables = []
+    for _ in range(200):
+        k = 2 * rng.randint(1, 30)
+        weight = {
+            (u, v): FORBIDDEN if rng.random() < 0.1 else rng.randint(0, 3)
+            for u in range(k)
+            for v in range(u + 1, k)
+        }
+        w = WeightedCompleteGraph(k, weight)
+        tables.append(_pairs(min_weight_perfect_matching(w)))
+    graphs = []
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(1, 60), rng.uniform(0.02, 0.6))
+        graphs.append(_pairs(max_matching(g)))
+    joins = []
+    for _ in range(8):
+        g = random_graph(rng, 100, 0.5)
+        t = frozenset(rng.sample(range(100), 2 * rng.randint(10, 30)))
+        joins.append(_pairs(min_t_join(build_gs(g), t)))
+    return {
+        "min_weight_perfect_matching": _digest(tables),
+        "max_matching": _digest(graphs),
+        "min_t_join": _digest(joins),
+    }
+
+
+def test_blossom_decisions_at_bench_sizes_are_pinned():
+    assert _blossom_decisions() == {
+        "min_weight_perfect_matching": "174109b569a7ec33",
+        "max_matching": "94bd4d017bbd5043",
+        "min_t_join": "1c3c100c87746f6e",
+    }
