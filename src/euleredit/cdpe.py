@@ -287,12 +287,14 @@ def solve_cdpe_ea(inst: ParityInstance) -> SolveOutcome:
     return _solved(inst, counts, opt, _rewired_and_spliced(g, f), set(), f.size)
 
 
-def _star_bridge_case(g: Graph, t_set: frozenset[int]) -> tuple[int, list[int]] | None:
+def _star_bridge_case(
+    g: Graph, sub: Graph, labels: tuple[int, ...]
+) -> tuple[int, list[int]] | None:
     """Detect G[T] = K_{1,r} with every star edge a bridge of G.
 
-    Returns (center, sorted leaves) or None.  Callers guarantee p=0, q=1.
+    ``sub`` is G[T] and ``labels`` the sorted T, as ``g.induced(T)`` returns
+    them.  Returns (center, sorted leaves) or None.  Callers guarantee p=0, q=1.
     """
-    sub, labels = g.induced(t_set)
     if sub.m == 0 or sub.m != sub.n - 1:
         return None
     centers = [i for i in range(sub.n) if sub.degree(i) == sub.m]
@@ -300,7 +302,7 @@ def _star_bridge_case(g: Graph, t_set: frozenset[int]) -> tuple[int, list[int]] 
         return None
     center = labels[centers[0]]
     bridge_set = bridges(g)
-    leaves = sorted(v for v in t_set if v != center)
+    leaves = [v for v in labels if v != center]
     if any(_edge(center, leaf) not in bridge_set for leaf in leaves):
         return None
     return center, leaves
@@ -345,8 +347,9 @@ def solve_cdpe_ea_ed(inst: ParityInstance) -> SolveOutcome:
         cycle = {_edge(a, b) for a, b in zip(reps, reps[1:] + reps[:1])}
         return _solved(inst, counts, max(3, p), cycle, set(), join_size)
 
+    sub, labels = g.induced(t_set)
     if p == 0 and q == 1:
-        star = _star_bridge_case(g, t_set)
+        star = _star_bridge_case(g, sub, labels)
         if star is not None:
             center, leaves = star
             opt = join_size + 1
@@ -363,7 +366,7 @@ def solve_cdpe_ea_ed(inst: ParityInstance) -> SolveOutcome:
             return _solved(inst, counts, opt, additions, deletions, join_size)
 
     opt = max(p + q - 1, p + join_size)
-    additions, deletions = _general_editing_witness(inst, g, t_set)
+    additions, deletions = _general_editing_witness(g, t_set, sub, labels)
     return _solved(inst, counts, opt, additions, deletions, join_size)
 
 
@@ -379,8 +382,9 @@ def _single_bridge_witness(g: Graph, center: int, leaf: int):
     raise SolverInvariantError("star-bridge case requires a third vertex nearby")
 
 
-def _general_editing_witness(inst: ParityInstance, g: Graph, t_set: frozenset[int]):
-    sub, labels = g.induced(t_set)
+def _general_editing_witness(
+    g: Graph, t_set: frozenset[int], sub: Graph, labels: tuple[int, ...]
+):
     matching = max_matching(sub.complement())
     m_edges = {_edge(labels[a], labels[b]) for a, b in matching.edges}
     unmatched = sorted(t_set - {v for e in m_edges for v in e})

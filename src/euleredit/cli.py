@@ -100,6 +100,9 @@ def parse_instance(text: str) -> InstanceFile:
     directed = kind in ("cdbe", "dbe")
     tag = "a" if directed else "e"
     rows = [0] * n  # bit v of rows[u]: the arc or edge uv has been read
+    # The canonical spelling of each vertex; any other spelling ("+3", "03",
+    # out-of-range or non-numbers) falls back to int() and the range check.
+    names = {str(v): v for v in range(n)}
     delta: dict[int, int] = {}
     last = lineno  # the m-check names the last non-blank, non-comment line
     for lineno, raw in lines:
@@ -110,12 +113,14 @@ def parse_instance(text: str) -> InstanceFile:
         if parts[0] == tag:
             if len(parts) != 3:
                 raise ParseError(lineno, f"expected '{tag} <u> <v>'")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError as exc:
-                raise ParseError(lineno, "endpoints must be integers") from exc
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParseError(lineno, f"vertex out of range 0..{n - 1}")
+            u, v = names.get(parts[1]), names.get(parts[2])
+            if u is None or v is None:
+                try:
+                    u, v = int(parts[1]), int(parts[2])
+                except ValueError as exc:
+                    raise ParseError(lineno, "endpoints must be integers") from exc
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ParseError(lineno, f"vertex out of range 0..{n - 1}")
             if u == v:
                 raise ParseError(lineno, "loops are not allowed")
             if rows[u] >> v & 1:
@@ -126,8 +131,11 @@ def parse_instance(text: str) -> InstanceFile:
         elif parts[0] == "d":
             if len(parts) != 3:
                 raise ParseError(lineno, "expected 'd <v> <value>'")
+            v = names.get(parts[1])
             try:
-                v, value = int(parts[1]), int(parts[2])
+                if v is None:
+                    v = int(parts[1])
+                value = int(parts[2])
             except ValueError as exc:
                 raise ParseError(lineno, "delta entries must be integers") from exc
             if not 0 <= v < n:

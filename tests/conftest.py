@@ -7,7 +7,17 @@ import pytest
 from euleredit import Digraph, Graph
 from euleredit.cli import KINDS, MAX_VERTICES, InstanceFile, ParseError
 from euleredit.fjoin import DirectedFJoin
-from euleredit.graphs import BalanceInstance, OperationSet, ParityInstance, set_bits
+from euleredit.graphs import (
+    BalanceInstance,
+    OperationSet,
+    ParityInstance,
+    SolverInvariantError,
+    bfs_layers,
+    components,
+    set_bits,
+)
+from euleredit.matching import WeightedCompleteGraph, min_weight_perfect_matching
+from euleredit.tjoin import TJoin
 
 
 def random_graph(rng: random.Random, n: int, density: float = 0.5) -> Graph:
@@ -176,6 +186,46 @@ def reference_min_f_join(gs, f) -> DirectedFJoin | None:
         return None
     used = {arc: base.multiplicity(arc) - net.cap[e] for arc, e in arc_edge.items()}
     return DirectedFJoin({arc: x for arc, x in used.items() if x > 0})
+
+
+def reference_min_t_join(gs, t_set) -> TJoin | None:
+    """``min_t_join`` with a full BFS from every terminal to the end of the
+    base graph, instead of a search that stops at the last later terminal."""
+    base = gs.base
+    for comp in components(base):
+        if len(comp & t_set) % 2:
+            return None
+
+    terminals = sorted(t_set)
+    index = {s: i for i, s in enumerate(terminals)}
+    tmask = sum(1 << s for s in terminals)
+    bits = base.adjacency_bits
+    layers = {s: bfs_layers(bits, s) for s in terminals}
+    k = len(terminals)
+    rows, edges = [], []
+    for i, s in enumerate(terminals):
+        row = [None] * k
+        rows.append(row)
+        later = (tmask >> s + 1) << s + 1
+        for d, layer in enumerate(layers[s]):
+            for t in set_bits(layer & later):
+                row[index[t]] = d
+        edges += [(i, j, d) for j, d in enumerate(row[i + 1 :], i + 1) if d is not None]
+    matching = min_weight_perfect_matching(WeightedCompleteGraph._from_edges(k, edges))
+    if matching is None:
+        raise SolverInvariantError("no perfect matching of T, yet T-joins exist")
+
+    join: set[tuple[int, int]] = set()
+    for i, j in matching.edges:
+        s = terminals[i]
+        v = terminals[j]
+        for layer in reversed(layers[s][: rows[i][j]]):
+            low = bits[v] & layer
+            u = (low & -low).bit_length() - 1
+            e = (u, v) if u < v else (v, u)
+            join.symmetric_difference_update({e})
+            v = u
+    return TJoin(frozenset(join))
 
 
 def reference_parse_instance(text: str) -> InstanceFile:

@@ -69,6 +69,7 @@ def test_parse_directed():
         ("p cdpe ea 2 0\nd 0 2\n", "0 or 1"),
         ("p cdpe ea 2 0\nd 0 1\nd 0 1\n", "duplicate delta"),
         ("p cdbe ea 2 2\na 0 1\na 0 1\n", "duplicate"),
+        ("p cdpe ea 3 2\ne 1 2\ne 2 01\n", "line 3: duplicate e 2 1"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, fragment):
@@ -124,7 +125,7 @@ _NOISE = [
     "e 0", "e 0 1 2", "a 1", "a 0 1 2", "d 0", "d 0 1 1", "e x 1", "a 0 y",
     "d z 1", "e 0 +3", "a +1 0", "d +1 1", "e \u0661 0", "a 0 \u0663", "d \u0660 1",
     "e 1.0 2", "e -1 0", "a 0 99", "d 99 1", "e 2 2", "a 1 1", "d 1 -1", "d 0 2",
-    "p cdpe ea 3 0",
+    "e 01 2", "a 00 1", "e -0 1", "d 01 1", "p cdpe ea 3 0",
 ]
 _BREAKS = ["\n", "\r\n", "\r", "\x0c", "\x1c", "\x85", "\u2028"]
 

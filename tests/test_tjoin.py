@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from euleredit import Graph, OperationSet, ParityInstance, Verdict, solve_dpe
-from euleredit.graphs import components, parity_counts
+from euleredit.graphs import bfs_layers, components, parity_counts
 from euleredit.matching import WeightedCompleteGraph, min_weight_perfect_matching
 from euleredit.oracle import oracle_min_t_join
 from euleredit.tjoin import OperationGraph, TJoin, build_gs, min_t_join
 
-from conftest import odd_vertices, random_graph
+from conftest import odd_vertices, random_graph, reference_min_t_join
 
 
 def test_build_gs_modes():
@@ -146,3 +146,55 @@ def test_min_t_join_size_matches_networkx():
             assert j is not None and j.size == want, (n, sorted(g.edges), t)
             assert odd_vertices(j.edges) == frozenset(t)
             assert not j.edges & g.edges
+
+
+def _even_terminals(rng, n, comps):
+    """An even random T, or one with an even share of every component."""
+    if rng.random() < 0.5:
+        t = [v for v in range(n) if rng.random() < 0.5]
+        return frozenset(t[: len(t) // 2 * 2])
+    t = set()
+    for comp in comps:
+        t.update(rng.sample(sorted(comp), len(comp) // 2 * 2 if rng.random() < 0.7 else 0))
+    return frozenset(t)
+
+
+def _assert_same_join(g, t):
+    gs = build_gs(g)
+    got, want = min_t_join(gs, t), reference_min_t_join(gs, t)
+    assert (got is None) == (want is None), (g.n, sorted(g.edges), sorted(t))
+    if want is not None:
+        assert got.edges == want.edges, (g.n, sorted(g.edges), sorted(t))
+    return want
+
+
+def test_min_t_join_matches_full_depth_reference():
+    # The search from each terminal stops at its farthest later terminal; the
+    # full-depth BFS of the reference must give the same join, edge for edge.
+    rng = random.Random(0x7E57)
+    covered = set()
+    for _ in range(400):
+        n = rng.randint(2, 40)
+        g = random_graph(rng, n, rng.uniform(0.02, 0.97))
+        co = g.complement()
+        comps = components(co)
+        t = _even_terminals(rng, n, comps)
+        if _assert_same_join(g, t) is None:
+            continue
+        if len(comps) > 1:
+            covered.add("disconnected complement")
+        if sum(1 for c in comps if c & t) > 1:
+            covered.add("forbidden pair")
+        tmask = sum(1 << v for v in t)
+        for s in t:
+            layers = bfs_layers(co.adjacency_bits, s)
+            if any(layer & tmask for layer in layers[3:]):
+                covered.add("distance >= 3")
+    assert covered == {"disconnected complement", "forbidden pair", "distance >= 3"}
+
+    n = 300
+    sparse = Graph(n, rng.sample(list(combinations(range(n), 2)), n))
+    dense = random_graph(rng, n, 0.9)
+    for g in (sparse, dense):
+        t = _even_terminals(rng, n, components(g.complement()))
+        assert _assert_same_join(g, t) is not None
