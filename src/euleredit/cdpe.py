@@ -366,7 +366,7 @@ def solve_cdpe_ea_ed(inst: ParityInstance) -> SolveOutcome:
             return _solved(inst, counts, opt, additions, deletions, join_size)
 
     opt = max(p + q - 1, p + join_size)
-    additions, deletions = _general_editing_witness(g, t_set, sub, labels)
+    additions, deletions = _general_editing_witness(g, sub, labels)
     return _solved(inst, counts, opt, additions, deletions, join_size)
 
 
@@ -382,19 +382,17 @@ def _single_bridge_witness(g: Graph, center: int, leaf: int):
     raise SolverInvariantError("star-bridge case requires a third vertex nearby")
 
 
-def _general_editing_witness(
-    g: Graph, t_set: frozenset[int], sub: Graph, labels: tuple[int, ...]
-):
+def _general_editing_witness(g: Graph, sub: Graph, labels: tuple[int, ...]):
+    """``sub`` is G[T] and ``labels`` the sorted T, as ``g.induced(T)`` returns them."""
     matching = max_matching(sub.complement())
     m_edges = {_edge(labels[a], labels[b]) for a, b in matching.edges}
-    unmatched = sorted(t_set - {v for e in m_edges for v in e})
+    matched = {v for e in m_edges for v in e}
+    unmatched = [v for v in labels if v not in matched]
 
     if not unmatched:
         return _rewired_and_spliced(g, TJoin(frozenset(m_edges))), set()
 
-    plain_reps = [
-        min(c) for c in components(g) if not (c & t_set)
-    ]
+    plain_reps = [min(c) for c in components(g) if c.isdisjoint(labels)]
     z = len(unmatched)
     u1, u2 = unmatched[0], unmatched[1]
     if z >= 4:

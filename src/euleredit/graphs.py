@@ -284,20 +284,36 @@ class StructuralCounts:
     imbalance: Mapping[int, int] | None = None
 
 
-def bfs_layers(bits: Sequence[int], source: int) -> list[int]:
-    """BFS from ``source`` over neighbourhood bitmasks ``bits``.
+def bfs_layers(bits: Sequence[int], source: int, targets: int) -> list[int]:
+    """BFS from ``source`` over neighbourhood bitmasks ``bits``, up to the
+    layer that holds the last reachable vertex of the bitmask ``targets``.
 
     Layer d is the bitmask of the vertices at distance d from ``source``.
+    Every layer but the last is complete; the last may hold only its
+    targets.  With every vertex a target, these are all the layers.  The
+    search pushes (ORs the rows of the frontier) until fewer targets are
+    left unreached than the frontier has vertices.  Then it first pulls: if
+    every remaining target's row meets the frontier, they are the next layer
+    and the search stops there.
     """
     seen = frontier = 1 << source
+    left = targets & ~seen
     layers: list[int] = []
     while frontier:
         layers.append(frontier)
+        if not left:
+            break
+        if left.bit_count() < frontier.bit_count() and all(
+            bits[t] & frontier for t in set_bits(left)
+        ):
+            layers.append(left)
+            break
         grow = 0
         for v in set_bits(frontier):
             grow |= bits[v]
         frontier = grow & ~seen
         seen |= frontier
+        left &= ~frontier
     return layers
 
 
@@ -305,12 +321,12 @@ def components(g: Graph | Digraph) -> list[frozenset[int]]:
     """Vertex sets of connected components, ordered by smallest member."""
     graph = g.underlying if isinstance(g, Digraph) else g
     bits = graph.adjacency_bits
-    unseen = (1 << graph.n) - 1
+    unseen = everyone = (1 << graph.n) - 1
     result: list[frozenset[int]] = []
     while unseen:
         start = (unseen & -unseen).bit_length() - 1
         comp = 0
-        for layer in bfs_layers(bits, start):
+        for layer in bfs_layers(bits, start, everyone):
             comp |= layer
         unseen &= ~comp
         result.append(frozenset(set_bits(comp)))

@@ -10,19 +10,16 @@ and the join is the symmetric difference of the matched shortest paths.
 
 Only the distances from each terminal s to the later terminals t > s are
 read, so the search from s stops at the layer that holds its farthest later
-terminal; every layer before that one is complete, and the shortest paths
-are walked back through those layers only.  The search pushes (ORs the rows
-of the frontier) until fewer later terminals remain unreached than the
-frontier has vertices.  Then it first pulls: it tests each remaining
-terminal's row against the frontier, and if every one of them hits, they
-all lie in the next layer and the search stops without expanding it.
+terminal (``graphs.bfs_layers`` with the later terminals as targets); every
+layer before that one is complete, and the shortest paths are walked back
+through those layers only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, SolverInvariantError, components, set_bits
+from .graphs import Graph, SolverInvariantError, bfs_layers, components, set_bits
 from .matching import WeightedCompleteGraph, min_weight_perfect_matching
 
 
@@ -49,31 +46,6 @@ def build_gs(g: Graph) -> OperationGraph:
     return OperationGraph(g.complement())
 
 
-def _layers_to(bits: tuple[int, ...], source: int, targets: int) -> list[int]:
-    """BFS layers from ``source`` up to the one holding the last reachable
-    vertex of the bitmask ``targets``; that last layer may hold only the
-    targets in it, every earlier layer is complete."""
-    seen = frontier = 1 << source
-    left = targets & ~seen
-    layers: list[int] = []
-    while frontier:
-        layers.append(frontier)
-        if not left:
-            break
-        if left.bit_count() < frontier.bit_count() and all(
-            bits[t] & frontier for t in set_bits(left)
-        ):
-            layers.append(left)
-            break
-        grow = 0
-        for v in set_bits(frontier):
-            grow |= bits[v]
-        frontier = grow & ~seen
-        seen |= frontier
-        left &= ~frontier
-    return layers
-
-
 def min_t_join(gs: OperationGraph, t_set: frozenset[int] | set[int]) -> TJoin | None:
     """A minimum-cardinality T-join of ``gs.base``, or None if none exists.
 
@@ -97,7 +69,7 @@ def min_t_join(gs: OperationGraph, t_set: frozenset[int] | set[int]) -> TJoin | 
         row = [None] * k
         rows.append(row)
         later = (tmask >> s + 1) << s + 1
-        layers[s] = _layers_to(bits, s, later)
+        layers[s] = bfs_layers(bits, s, later)
         for d, layer in enumerate(layers[s]):
             for t in set_bits(layer & later):
                 row[index[t]] = d

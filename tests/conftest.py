@@ -200,7 +200,8 @@ def reference_min_t_join(gs, t_set) -> TJoin | None:
     index = {s: i for i, s in enumerate(terminals)}
     tmask = sum(1 << s for s in terminals)
     bits = base.adjacency_bits
-    layers = {s: bfs_layers(bits, s) for s in terminals}
+    everyone = (1 << base.n) - 1
+    layers = {s: bfs_layers(bits, s, everyone) for s in terminals}
     k = len(terminals)
     rows, edges = [], []
     for i, s in enumerate(terminals):

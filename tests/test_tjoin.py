@@ -187,7 +187,7 @@ def test_min_t_join_matches_full_depth_reference():
             covered.add("forbidden pair")
         tmask = sum(1 << v for v in t)
         for s in t:
-            layers = bfs_layers(co.adjacency_bits, s)
+            layers = bfs_layers(co.adjacency_bits, s, (1 << n) - 1)
             if any(layer & tmask for layer in layers[3:]):
                 covered.add("distance >= 3")
     assert covered == {"disconnected complement", "forbidden pair", "distance >= 3"}
