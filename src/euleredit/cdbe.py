@@ -82,7 +82,7 @@ def _detour_swap(g, arcs: dict, comps, comp_of: dict):
         for uv in heads[mid]:
             u = uv[0]
             for vw in sorted(arcs):
-                if vw[0] != mid or vw == uv:
+                if vw[0] != mid:
                     continue
                 w = vw[1]
                 if w == u:

@@ -30,6 +30,7 @@ from .graphs import (
     bridges,
     components,
     parity_counts,
+    set_bits,
 )
 from .matching import max_matching
 from .tjoin import TJoin, build_gs, min_t_join
@@ -373,10 +374,10 @@ def solve_cdpe_ea_ed(inst: ParityInstance) -> SolveOutcome:
 def _single_bridge_witness(g: Graph, center: int, leaf: int):
     # Some third vertex neighbors the center or the leaf; re-hang the
     # bridge through it.
-    for x in g.adjacency[center]:
+    for x in set_bits(g.adjacency_bits[center]):
         if x != leaf:
             return {_edge(x, leaf)}, {_edge(x, center)}
-    for x in g.adjacency[leaf]:
+    for x in set_bits(g.adjacency_bits[leaf]):
         if x != center:
             return {_edge(x, center)}, {_edge(x, leaf)}
     raise SolverInvariantError("star-bridge case requires a third vertex nearby")

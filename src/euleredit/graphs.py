@@ -94,10 +94,6 @@ class Graph:
         object.__setattr__(g, "adjacency_bits", tuple(rows))
         return g
 
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        return cls(n, frozenset(_normalize_edge(u, v) for u, v in edges))
-
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
         return frozenset(
@@ -109,12 +105,6 @@ class Graph:
     @cached_property
     def m(self) -> int:
         return sum(row.bit_count() for row in self.adjacency_bits) // 2
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        # tuple() sizes a list exactly but over-allocates and then shrinks a
-        # generator's result, a churn that left peak RSS higher.
-        return tuple(tuple(list(set_bits(row))) for row in self.adjacency_bits)
 
     def has_edge(self, u: int, v: int) -> bool:
         n = self.n
@@ -340,7 +330,7 @@ def is_connected(g: Graph | Digraph) -> bool:
 def bridges(g: Graph) -> frozenset[tuple[int, int]]:
     """All bridges of ``g``, by one iterative lowpoint DFS."""
     n = g.n
-    adj = g.adjacency
+    rows = g.adjacency_bits
     disc = [-1] * n
     low = [0] * n
     found: set[tuple[int, int]] = set()
@@ -348,19 +338,21 @@ def bridges(g: Graph) -> frozenset[tuple[int, int]]:
     for root in range(n):
         if disc[root] != -1:
             continue
-        # Stack frames: (vertex, parent, iterator index over adjacency).
-        stack = [(root, -1, 0)]
+        # Stack frames: (vertex, parent, neighbour bits not yet scanned),
+        # scanned lowest bit first.
+        stack = [(root, -1, rows[root])]
         disc[root] = low[root] = timer
         timer += 1
         while stack:
-            v, parent, i = stack.pop()
-            if i < len(adj[v]):
-                stack.append((v, parent, i + 1))
-                w = adj[v][i]
+            v, parent, left = stack.pop()
+            if left:
+                bit = left & -left
+                stack.append((v, parent, left ^ bit))
+                w = bit.bit_length() - 1
                 if disc[w] == -1:
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, v, 0))
+                    stack.append((w, v, rows[w]))
                 elif w != parent:
                     if disc[w] < low[v]:
                         low[v] = disc[w]

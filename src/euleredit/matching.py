@@ -7,23 +7,18 @@ reductions onto it:
 
 * maximum-cardinality matching = maximum-weight matching with unit weights;
 * minimum-weight perfect matching = maximum-weight maximum-cardinality
-  matching after the transformation w' = max_w - w, with forbidden pairs
-  simply left out of the graph.
+  matching after the transformation w' = max_w - w.  Its weight table,
+  ``WeightedCompleteGraph``, is the list of allowed pairs with their
+  weights; a forbidden pair is one the list leaves out.
 
 The brute-force matchers the tests check these against live in ``oracle``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
-from typing import Mapping
 
 from .graphs import Graph, set_bits
-
-FORBIDDEN = math.inf
 
 
 @dataclass(frozen=True)
@@ -45,47 +40,16 @@ class Matching:
         return len(self.edges)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class WeightedCompleteGraph:
-    """Symmetric non-negative integer weights on all pairs of 0..k-1.
+    """Non-negative integer weights on pairs of 0..k-1.
 
-    ``FORBIDDEN`` (infinity) marks pairs a perfect matching must avoid.  The
-    state is ``edges``: the other pairs as (u, v, weight), u < v, in (u, v)
-    order.  ``weight`` maps every pair u < v and is derived when first read.
+    ``edges`` lists the allowed pairs as (u, v, weight), u < v, in (u, v)
+    order; a pair left out is forbidden to a perfect matching.
     """
 
     k: int
     edges: list[tuple[int, int, int]]
-
-    def __init__(self, k: int, weight: Mapping[tuple[int, int], float]) -> None:
-        edges = []
-        for u, v in combinations(range(k), 2):
-            w = weight.get((u, v), weight.get((v, u)))
-            if w is None:
-                raise ValueError(f"weight missing for pair ({u}, {v})")
-            if w != FORBIDDEN and (w < 0 or int(w) != w):
-                raise ValueError(f"weights must be non-negative integers, got {w}")
-            if w != FORBIDDEN:
-                edges.append((u, v, int(w)))
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "edges", edges)
-
-    @classmethod
-    def _from_edges(cls, k: int, edges: list[tuple[int, int, int]]):
-        """A table on trusted edges, listed as ``edges`` lists them."""
-        w = object.__new__(cls)
-        object.__setattr__(w, "k", k)
-        object.__setattr__(w, "edges", edges)
-        return w
-
-    @cached_property
-    def weight(self) -> dict[tuple[int, int], float]:
-        weight = dict.fromkeys(combinations(range(self.k), 2), FORBIDDEN)
-        weight.update(((u, v), w) for u, v, w in self.edges)
-        return weight
-
-    def get(self, u: int, v: int) -> float:
-        return self.weight[(u, v) if u < v else (v, u)]
 
 
 def max_matching(g: Graph) -> Matching:
@@ -100,8 +64,6 @@ def min_weight_perfect_matching(w: WeightedCompleteGraph) -> Matching | None:
     """A minimum-weight perfect matching avoiding forbidden pairs, or None."""
     if w.k % 2 != 0:
         return None
-    if w.k == 0:
-        return Matching(frozenset())
     maxw = max((wt for _, _, wt in w.edges), default=0)
     # Flip weights so that maximum-weight maximum-cardinality matching on the
     # allowed pairs is exactly the minimum-weight perfect matching.
@@ -147,8 +109,6 @@ def _max_weight_matching(
     weight: list[dict[int, int]] = [{} for _ in range(n)]
     neighbors: list[list[int]] = [[] for _ in range(n)]
     for u, v, wt in edges:
-        if u == v:
-            continue
         weight[u][v] = weight[v][u] = wt
         neighbors[u].append(v)
         neighbors[v].append(u)
@@ -256,14 +216,9 @@ def _max_weight_matching(
                     nblist = bv.mybestedges
                     bv.mybestedges = None
                 else:
-                    nblist = [
-                        (x, y)
-                        for x in bv.leaves()
-                        for y in neighbors[x]
-                        if x != y
-                    ]
+                    nblist = [(x, y) for x in bv.leaves() for y in neighbors[x]]
             else:
-                nblist = [(bv, y) for y in neighbors[bv] if bv != y]
+                nblist = [(bv, y) for y in neighbors[bv]]
             for k in nblist:
                 (i, j) = k
                 if inblossom[j] == b:
@@ -445,8 +400,6 @@ def _max_weight_matching(
                 v = queue.pop()
                 assert label[inblossom[v]] == 1
                 for w in neighbors[v]:
-                    if w == v:
-                        continue
                     bv = inblossom[v]
                     bw = inblossom[w]
                     if bv == bw:

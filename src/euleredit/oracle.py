@@ -18,8 +18,9 @@ from typing import Mapping
 
 import numpy as np
 
+from .fjoin import DirectedOperationGraph
 from .graphs import Digraph, Graph, OperationSet
-from .matching import FORBIDDEN, Matching, WeightedCompleteGraph
+from .matching import Matching, WeightedCompleteGraph
 
 
 @dataclass(frozen=True)
@@ -260,26 +261,26 @@ def _fjoin_best(gs: Digraph):
     return best
 
 
-def oracle_min_f_join(gs: Digraph, f: Mapping[int, int]) -> int | None:
-    """Minimum directed f-join size in the arc multigraph ``gs``, or None.
+def oracle_min_f_join(gs: DirectedOperationGraph, f: Mapping[int, int]) -> int | None:
+    """Minimum directed f-join size in the arc multigraph ``gs.base``, or None.
 
     Exhaustive over sub-multisets; a join of size <= supply * (n-1) exists
     whenever any join does (shortest-path decomposition), so the search is
     capped there.
     """
-    gs = getattr(gs, "base", gs)
+    base = gs.base
     f = {v: x for v, x in f.items() if x}
     if sum(f.values()) != 0:
         return None
     supply = sum(x for x in f.values() if x > 0)
-    cap = supply * max(1, gs.n - 1)
-    if cap <= 7 and gs.n <= 4:
-        target = [f.get(v, 0) for v in range(gs.n)]
+    cap = supply * max(1, base.n - 1)
+    if cap <= 7 and base.n <= 4:
+        target = [f.get(v, 0) for v in range(base.n)]
         if any(abs(x) > 7 for x in target):
             return None
-        value = int(_fjoin_best(gs)[_balance_key(gs.n, target)])
+        value = int(_fjoin_best(base)[_balance_key(base.n, target)])
         return None if value > cap else value
-    return _fjoin_dict_dp(gs, f, cap)
+    return _fjoin_dict_dp(base, f, cap)
 
 
 def _fjoin_dict_dp(gs: Digraph, f: Mapping[int, int], cap: int) -> int | None:
@@ -310,7 +311,8 @@ def _fjoin_dict_dp(gs: Digraph, f: Mapping[int, int], cap: int) -> int | None:
 
 
 def matching_cost(m: Matching, w: WeightedCompleteGraph) -> int:
-    return int(sum(w.get(u, v) for u, v in m.edges))
+    weight = {(u, v): wt for u, v, wt in w.edges}
+    return sum(weight[min(e), max(e)] for e in m.edges)
 
 
 def brute_force_max_matching_size(g: Graph) -> int:
@@ -340,6 +342,7 @@ def brute_force_min_perfect_cost(w: WeightedCompleteGraph) -> int | None:
         return None
     if k == 0:
         return 0
+    weight = {(u, v): wt for u, v, wt in w.edges}
     infinity = math.inf
     best = [infinity] * (1 << k)
     best[0] = 0
@@ -352,8 +355,8 @@ def brute_force_min_perfect_cost(w: WeightedCompleteGraph) -> int | None:
         while u_bits:
             u = (u_bits & -u_bits).bit_length() - 1
             u_bits &= u_bits - 1
-            wt = w.get(u, v)
-            if wt == FORBIDDEN:
+            wt = weight.get((u, v))
+            if wt is None:
                 continue
             cand = best[rest & ~(1 << u)] + wt
             if cand < best[mask]:

@@ -65,7 +65,7 @@ def min_t_join(gs: OperationGraph, t_set: frozenset[int] | set[int]) -> TJoin | 
     layers, rows, edges = {}, [], []
     for i, s in enumerate(terminals):
         # The distance row of s: terminal t > s sits in the layer d = dist(s, t).
-        # A terminal no layer reaches stays None: a FORBIDDEN pair, left out.
+        # A terminal no layer reaches stays None: a forbidden pair, left out.
         row = [None] * k
         rows.append(row)
         later = (tmask >> s + 1) << s + 1
@@ -74,7 +74,7 @@ def min_t_join(gs: OperationGraph, t_set: frozenset[int] | set[int]) -> TJoin | 
             for t in set_bits(layer & later):
                 row[index[t]] = d
         edges += [(i, j, d) for j, d in enumerate(row[i + 1 :], i + 1) if d is not None]
-    matching = min_weight_perfect_matching(WeightedCompleteGraph._from_edges(k, edges))
+    matching = min_weight_perfect_matching(WeightedCompleteGraph(k, edges))
     if matching is None:
         raise SolverInvariantError("no perfect matching of T, yet T-joins exist")
 

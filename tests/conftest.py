@@ -1,3 +1,4 @@
+import math
 import random
 from collections import deque
 from itertools import combinations
@@ -54,6 +55,21 @@ def rng() -> random.Random:
 
 def from_arcs(n: int, arcs) -> Digraph:
     return Digraph(n, frozenset(arcs))
+
+
+def from_edges(n: int, edges) -> Graph:
+    return Graph(n, frozenset((u, v) if u < v else (v, u) for u, v in edges))
+
+
+FORBIDDEN = math.inf
+
+
+def weight_table(k: int, weight) -> WeightedCompleteGraph:
+    """The table of a ``{(u, v): w}`` map over every pair u < v of 0..k-1,
+    with the ``FORBIDDEN`` pairs left out."""
+    pairs = combinations(range(k), 2)
+    edges = [(u, v, weight[u, v]) for u, v in pairs if weight[u, v] != FORBIDDEN]
+    return WeightedCompleteGraph(k, edges)
 
 
 def odd_vertices(edges) -> frozenset[int]:
@@ -212,7 +228,7 @@ def reference_min_t_join(gs, t_set) -> TJoin | None:
             for t in set_bits(layer & later):
                 row[index[t]] = d
         edges += [(i, j, d) for j, d in enumerate(row[i + 1 :], i + 1) if d is not None]
-    matching = min_weight_perfect_matching(WeightedCompleteGraph._from_edges(k, edges))
+    matching = min_weight_perfect_matching(WeightedCompleteGraph(k, edges))
     if matching is None:
         raise SolverInvariantError("no perfect matching of T, yet T-joins exist")
 

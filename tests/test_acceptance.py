@@ -23,12 +23,7 @@ from euleredit import (
     verify_parity,
 )
 from euleredit.fjoin import build_gs_directed, min_f_join
-from euleredit.matching import (
-    FORBIDDEN,
-    WeightedCompleteGraph,
-    max_matching,
-    min_weight_perfect_matching,
-)
+from euleredit.matching import max_matching, min_weight_perfect_matching
 from euleredit.oracle import (
     OracleBudget,
     brute_force_max_matching_size,
@@ -42,14 +37,17 @@ from euleredit.oracle import (
 from euleredit.tjoin import OperationGraph, min_t_join
 
 from conftest import (
+    FORBIDDEN,
     all_digraphs,
     all_graphs,
     balance,
     covered,
     from_arcs,
+    from_edges,
     odd_vertices,
     random_digraph,
     random_graph,
+    weight_table,
 )
 
 BUDGET = OracleBudget(12)
@@ -120,7 +118,7 @@ def _cliques(*sizes: int) -> Graph:
     for size in sizes:
         edges.extend((offset + a, offset + b) for a, b in combinations(range(size), 2))
         offset += size
-    return Graph.from_edges(offset, edges)
+    return from_edges(offset, edges)
 
 
 def test_isolated_vertex_plus_k4_is_infeasible_under_addition():
@@ -143,14 +141,14 @@ def test_two_disjoint_edges_need_three_edits():
 
 
 def test_p3_star_bridge_case():
-    inst = ParityInstance(Graph.from_edges(3, [(0, 1), (1, 2)]), (1, 1, 0))
+    inst = ParityInstance(from_edges(3, [(0, 1), (1, 2)]), (1, 1, 0))
     out = solve_cdpe_ea_ed(inst)
     assert out.counts.deficient == {1, 2}
     assert out.opt == 2
 
 
 def test_k2_with_every_vertex_deficient_is_infeasible():
-    inst = ParityInstance(Graph.from_edges(2, [(0, 1)]), (0, 0))
+    inst = ParityInstance(from_edges(2, [(0, 1)]), (0, 0))
     assert solve_cdpe_ea_ed(inst).verdict is Verdict.NO_INSTANCE
 
 
@@ -288,7 +286,7 @@ def test_matchers_against_subset_dp():
             (u, v): FORBIDDEN if rng.random() < 0.2 else rng.randrange(10)
             for u, v in combinations(range(k), 2)
         }
-        w = WeightedCompleteGraph(k, weight)
+        w = weight_table(k, weight)
         expected = brute_force_min_perfect_cost(w)
         m = min_weight_perfect_matching(w)
         if expected is None:

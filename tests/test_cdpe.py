@@ -17,11 +17,11 @@ from euleredit.cdpe import rewire_tjoin_for_connectivity
 from euleredit.graphs import components
 from euleredit.tjoin import TJoin
 
-from conftest import odd_vertices, random_graph
+from conftest import from_edges, odd_vertices, random_graph
 
 
 def _inst(n, edges, deficient=()):
-    g = Graph.from_edges(n, edges)
+    g = from_edges(n, edges)
     delta = tuple((g.degree(v) + (v in set(deficient))) % 2 for v in range(n))
     return ParityInstance(g, delta, None)
 
@@ -82,7 +82,7 @@ def test_ea_general_case_lower_bounds():
 
 
 def test_ea_ed_two_vertices():
-    edge = Graph.from_edges(2, [(0, 1)])
+    edge = from_edges(2, [(0, 1)])
     empty = Graph(2, frozenset())
     assert solve_cdpe_ea_ed(ParityInstance(edge, (0, 0))).verdict \
         is Verdict.NO_INSTANCE  # T = V on K2
@@ -94,7 +94,7 @@ def test_ea_ed_two_vertices():
 
 def test_ea_ed_star_bridge_case():
     # G[T] = K_{1,3} with every star edge a bridge: opt is |T|/2 + 1.
-    g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    g = from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     delta = tuple((g.degree(v) + (v in {0, 1, 2, 3})) % 2 for v in range(5))
     out = solve_cdpe_ea_ed(ParityInstance(g, delta))
     assert out.counts.deficient == {0, 1, 2, 3}
@@ -112,7 +112,7 @@ def test_budget_feasibility_flag():
 
 
 def test_rewire_preserves_join_and_size():
-    g = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)])
+    g = from_edges(6, [(0, 1), (2, 3), (4, 5)])
     join = TJoin(frozenset({(0, 2), (1, 3)}))
     rewired = rewire_tjoin_for_connectivity(g, join)
     assert rewired.size == join.size
@@ -122,7 +122,7 @@ def test_rewire_preserves_join_and_size():
 
 
 def test_rewire_rejects_existing_edges():
-    g = Graph.from_edges(2, [(0, 1)])
+    g = from_edges(2, [(0, 1)])
     with pytest.raises(GraphError):
         rewire_tjoin_for_connectivity(g, TJoin(frozenset({(0, 1)})))
 

@@ -7,13 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from euleredit import Graph
-from euleredit.matching import (
-    FORBIDDEN,
-    Matching,
-    WeightedCompleteGraph,
-    max_matching,
-    min_weight_perfect_matching,
-)
+from euleredit.matching import Matching, max_matching, min_weight_perfect_matching
 from euleredit.oracle import (
     brute_force_max_matching_size,
     brute_force_min_perfect_cost,
@@ -21,7 +15,7 @@ from euleredit.oracle import (
 )
 from euleredit.tjoin import build_gs, min_t_join
 
-from conftest import covered, random_graph
+from conftest import FORBIDDEN, covered, from_edges, random_graph, weight_table
 
 graphs = st.integers(0, 12).flatmap(
     lambda n: st.builds(
@@ -43,22 +37,13 @@ def test_matching_rejects_shared_vertices():
         Matching(frozenset({(3, 3)}))
 
 
-def test_weighted_graph_validation():
-    with pytest.raises(ValueError):
-        WeightedCompleteGraph(2, {})
-    with pytest.raises(ValueError):
-        WeightedCompleteGraph(2, {(0, 1): -1})
-    w = WeightedCompleteGraph(2, {(1, 0): 5})
-    assert w.get(0, 1) == 5
-
-
 def test_max_matching_small_cases():
-    assert max_matching(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])).size == 2
+    assert max_matching(from_edges(4, [(0, 1), (1, 2), (2, 3)])).size == 2
     # Odd cycle: needs a blossom to see the answer is 2.
-    c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    c5 = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     assert max_matching(c5).size == 2
     # Petersen graph has a perfect matching.
-    petersen = Graph.from_edges(
+    petersen = from_edges(
         10,
         [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (1, 6), (2, 7), (3, 8),
          (4, 9), (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)],
@@ -67,16 +52,16 @@ def test_max_matching_small_cases():
 
 
 def test_min_weight_perfect_matching_basics():
-    w = WeightedCompleteGraph(4, {(0, 1): 1, (0, 2): 2, (0, 3): 9,
-                                  (1, 2): 9, (1, 3): 2, (2, 3): 1})
+    w = weight_table(4, {(0, 1): 1, (0, 2): 2, (0, 3): 9,
+                         (1, 2): 9, (1, 3): 2, (2, 3): 1})
     m = min_weight_perfect_matching(w)
     assert m is not None and matching_cost(m, w) == 2
-    assert min_weight_perfect_matching(WeightedCompleteGraph(3, {
+    assert min_weight_perfect_matching(weight_table(3, {
         (0, 1): 1, (0, 2): 1, (1, 2): 1})) is None
     # All pairings of some vertex forbidden -> no perfect matching.
-    blocked = WeightedCompleteGraph(4, {(0, 1): FORBIDDEN, (0, 2): FORBIDDEN,
-                                        (0, 3): FORBIDDEN, (1, 2): 1,
-                                        (1, 3): 1, (2, 3): 1})
+    blocked = weight_table(4, {(0, 1): FORBIDDEN, (0, 2): FORBIDDEN,
+                               (0, 3): FORBIDDEN, (1, 2): 1,
+                               (1, 3): 1, (2, 3): 1})
     assert min_weight_perfect_matching(blocked) is None
 
 
@@ -98,7 +83,7 @@ def test_min_weight_perfect_matching_against_subset_dp(data, k):
         for u in range(k)
         for v in range(u + 1, k)
     }
-    w = WeightedCompleteGraph(k, weight)
+    w = weight_table(k, weight)
     expected = brute_force_min_perfect_cost(w)
     m = min_weight_perfect_matching(w)
     if expected is None:
@@ -147,7 +132,7 @@ def _blossom_decisions() -> dict[str, str]:
             for u in range(k)
             for v in range(u + 1, k)
         }
-        w = WeightedCompleteGraph(k, weight)
+        w = weight_table(k, weight)
         tables.append(_pairs(min_weight_perfect_matching(w)))
     graphs = []
     for _ in range(200):

@@ -10,7 +10,7 @@ from euleredit.oracle import (
     oracle_min_t_join,
 )
 
-from conftest import from_arcs
+from conftest import from_arcs, from_edges
 
 B = OracleBudget(12)
 
@@ -21,9 +21,9 @@ def test_budget_validation():
 
 
 def test_oracle_cdpe_small_cases():
-    path = ParityInstance(Graph.from_edges(3, [(0, 1), (1, 2)]), (1, 0, 1))
+    path = ParityInstance(from_edges(3, [(0, 1), (1, 2)]), (1, 0, 1))
     assert oracle_cdpe(path, OperationSet.ADD, B) == 0
-    two = ParityInstance(Graph.from_edges(4, [(0, 1), (2, 3)]), (0, 0, 0, 0))
+    two = ParityInstance(from_edges(4, [(0, 1), (2, 3)]), (0, 0, 0, 0))
     assert oracle_cdpe(two, OperationSet.ADD, B) == 2
     # Odd deficient set is infeasible under either operation set.
     odd = ParityInstance(Graph(3, frozenset()), (1, 0, 0))
@@ -64,11 +64,11 @@ def test_oracle_cdbe_connectivity_toggle():
 
 
 def test_oracle_min_t_join():
-    path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    path = from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert oracle_min_t_join(path, {0, 3}) == 3
     assert oracle_min_t_join(path, {0, 1, 2, 3}) == 2
     assert oracle_min_t_join(path, frozenset()) == 0
-    split = Graph.from_edges(4, [(0, 1), (2, 3)])
+    split = from_edges(4, [(0, 1), (2, 3)])
     assert oracle_min_t_join(split, {0, 2}) is None
 
 

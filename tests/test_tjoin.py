@@ -7,15 +7,21 @@ from hypothesis import strategies as st
 
 from euleredit import Graph, OperationSet, ParityInstance, Verdict, solve_dpe
 from euleredit.graphs import bfs_layers, components, parity_counts
-from euleredit.matching import WeightedCompleteGraph, min_weight_perfect_matching
+from euleredit.matching import min_weight_perfect_matching
 from euleredit.oracle import oracle_min_t_join
 from euleredit.tjoin import OperationGraph, TJoin, build_gs, min_t_join
 
-from conftest import odd_vertices, random_graph, reference_min_t_join
+from conftest import (
+    from_edges,
+    odd_vertices,
+    random_graph,
+    reference_min_t_join,
+    weight_table,
+)
 
 
 def test_build_gs_modes():
-    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    g = from_edges(4, [(0, 1), (2, 3)])
     assert build_gs(g).base.edges == g.complement().edges
 
 
@@ -26,7 +32,7 @@ def test_tjoin_odd_vertices():
 
 
 def test_min_t_join_nonexistence():
-    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    g = from_edges(4, [(0, 1), (2, 3)])
     gs = OperationGraph(g)
     assert min_t_join(gs, {0, 1, 2}) is None  # odd T
     assert min_t_join(gs, {0, 2}) is None  # one terminal per component
@@ -34,7 +40,7 @@ def test_min_t_join_nonexistence():
 
 
 def test_min_t_join_path():
-    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    g = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     gs = OperationGraph(g)
     j = min_t_join(gs, {0, 4})
     assert j.size == 4 and odd_vertices(j.edges) == {0, 4}
@@ -44,7 +50,7 @@ def test_min_t_join_path():
 
 def test_min_t_join_prefers_pairing():
     # Matching terminals greedily by one pair at a time is suboptimal here.
-    g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+    g = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
     gs = OperationGraph(g)
     assert min_t_join(gs, {0, 2, 3, 5}).size == 4
 
@@ -69,7 +75,7 @@ def test_min_t_join_matches_oracle(seed, n, density):
 
 
 def test_min_t_join_deterministic():
-    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    g = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     gs = OperationGraph(g)
     first = min_t_join(gs, {0, 2})
     assert all(min_t_join(gs, {0, 2}) == first for _ in range(5))
@@ -77,7 +83,7 @@ def test_min_t_join_deterministic():
 
 def test_min_t_join_parent_is_smallest_neighbour():
     # 3 has two neighbours at distance 1 from 0; the path runs through the smaller.
-    g = Graph.from_edges(4, [(0, 1), (1, 3), (3, 2), (2, 0)])
+    g = from_edges(4, [(0, 1), (1, 3), (3, 2), (2, 0)])
     assert min_t_join(OperationGraph(g), {0, 3}).edges == {(0, 1), (1, 3)}
 
 
@@ -85,7 +91,7 @@ def test_uniform_weights_give_nested_pairing():
     # solve_dpe under ea+ed pairs T this way instead of running the blossom.
     for k in range(0, 65, 2):
         weight = dict.fromkeys(combinations(range(k), 2), 1)
-        matching = min_weight_perfect_matching(WeightedCompleteGraph(k, weight))
+        matching = min_weight_perfect_matching(weight_table(k, weight))
         assert matching.edges == {(i, k - 1 - i) for i in range(k // 2)}
 
 
@@ -96,7 +102,7 @@ def test_dpe_ea_ed_equals_t_join_of_complete_graph():
         g = random_graph(rng, n, rng.random())
         inst = ParityInstance(g, tuple(rng.randrange(2) for _ in range(n)))
         outcome = solve_dpe(inst, OperationSet.ADD_DELETE)
-        complete = Graph.from_edges(n, combinations(range(n), 2))
+        complete = from_edges(n, combinations(range(n), 2))
         join = min_t_join(OperationGraph(complete), parity_counts(inst).deficient)
         if join is None:
             assert outcome.verdict is Verdict.NO_INSTANCE

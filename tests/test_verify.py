@@ -1,16 +1,15 @@
 from euleredit import (
     BalanceInstance,
-    Graph,
     ParityInstance,
     verify_balance,
     verify_parity,
 )
 
-from conftest import from_arcs
+from conftest import from_arcs, from_edges
 
 
 def _p3():
-    return ParityInstance(Graph.from_edges(3, [(0, 1), (1, 2)]), (1, 0, 1))
+    return ParityInstance(from_edges(3, [(0, 1), (1, 2)]), (1, 0, 1))
 
 
 def test_verify_parity_accepts_identity():
@@ -40,7 +39,7 @@ def test_verify_parity_size_and_normalization():
     assert "size-mismatch" in verify_parity(inst, {(2, 0)}, set(), claimed_opt=2).failures
     # Unordered edge tuples are accepted.
     good = verify_parity(
-        ParityInstance(Graph.from_edges(3, [(0, 1), (1, 2)]), (0, 1, 1)),
+        ParityInstance(from_edges(3, [(0, 1), (1, 2)]), (0, 1, 1)),
         {(2, 0)},
         {(2, 1)},
         claimed_opt=2,
