@@ -76,14 +76,14 @@ def _arc_crossable(g, h, arcs, arc, bridge_set) -> bool:
 
 def _detour_swap(g, arcs: dict, comps, comp_of: dict):
     heads: dict[int, list[tuple[int, int]]] = {}
+    tails: dict[int, list[tuple[int, int]]] = {}
     for a in sorted(arcs):
         heads.setdefault(a[1], []).append(a)
+        tails.setdefault(a[0], []).append(a)
     for mid in sorted(heads):
         for uv in heads[mid]:
             u = uv[0]
-            for vw in sorted(arcs):
-                if vw[0] != mid:
-                    continue
+            for vw in tails.get(mid, ()):
                 w = vw[1]
                 if w == u:
                     continue

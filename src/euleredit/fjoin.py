@@ -9,6 +9,14 @@ finds it by successive shortest paths, each found by a FIFO label-correcting
 search (SPFA) over bitmask rows instead of a residual edge list: a scan
 relaxes a vertex's whole row against one bitmask per distance value, in
 the order an edge-list SPFA would, so it finds that SPFA's paths.
+
+A scan at distance d needs two masks: the vertices nearer than d, and
+those at d + 1 or nearer.  They depend only on the distance labels and d,
+and the labels change only where a scan improves a vertex or the sink
+re-labels a drained vertex, so each search keeps the masks per d,
+complemented, and clears them at exactly those two places.  A scan then
+reads the masks it would have rebuilt, and the search pops, scans and
+pushes the same vertices in the same order as without the memo.
 """
 
 from __future__ import annotations
@@ -101,6 +109,9 @@ def min_f_join(
         # SPFA from the source, whose scan reaches the supplying vertices.  It
         # is never reached again: that would close a negative residual cycle.
         level = {0: supplying}  # level[d]: the vertices at distance d
+        # masks[d]: the complements of the vertices at distance below d and
+        # at distance d + 1 or below, kept until ``level`` next changes.
+        masks: dict[int, tuple[int, int]] = {}
         queue = deque(set_bits(supplying))
         for v in queue:
             dist[v] = 0
@@ -118,6 +129,7 @@ def min_f_join(
                         nearer |= mask
                 hit = drained & ~nearer
                 if hit:
+                    masks.clear()
                     for k in level:
                         level[k] &= ~hit
                     level[sink_dist] = level.get(sink_dist, 0) | hit
@@ -128,33 +140,42 @@ def min_f_join(
                     queued |= hit
                 continue
             d = dist[u]
-            nearer = close = 0
-            for k, mask in level.items():
-                if k < d:
-                    nearer |= mask
-                elif k <= d + 1:
-                    close |= mask
-            backward = back[u] & ~nearer  # unreached, or at distance >= d
-            ahead = room[u] & ~nearer & ~close  # unreached, or beyond d + 1
+            if d in masks:
+                far, farther = masks[d]
+            else:
+                nearer = close = 0
+                for k, mask in level.items():
+                    if k < d:
+                        nearer |= mask
+                    elif k <= d + 1:
+                        close |= mask
+                far, farther = masks[d] = ~nearer, ~(nearer | close)
+            backward = back[u] & far  # unreached, or at distance >= d
+            ahead = room[u] & farther  # unreached, or beyond d + 1
             forward = ahead & ~backward
             if backward or forward:
+                masks.clear()
                 moved = backward | forward
                 for k in level:
                     level[k] &= ~moved
                 level[d - 1] = level.get(d - 1, 0) | backward
                 level[d + 1] = level.get(d + 1, 0) | forward
-                for v in set_bits(backward):
-                    dist[v] = d - 1
-                    pre[v] = ~u
-                for v in set_bits(forward):
-                    dist[v] = d + 1
-                    pre[v] = u
+                for rest, to, via in ((backward, d - 1, ~u), (forward, d + 1, u)):
+                    while rest:
+                        low = rest & -rest
+                        v = low.bit_length() - 1
+                        dist[v] = to
+                        pre[v] = via
+                        rest ^= low
                 # u's residual arcs in edge-list order: (w,u) backwards for
                 # w < u, then (u,v) forwards, then (w,u) backwards for w > u.
                 lower = backward & (bit - 1)
                 for group in (lower, ahead & ~lower, backward & ~lower & ~ahead):
-                    if group & ~queued:
-                        queue.extend(set_bits(group & ~queued))
+                    rest = group & ~queued
+                    while rest:
+                        low = rest & -rest
+                        queue.append(low.bit_length() - 1)
+                        rest ^= low
                 queued |= moved
             if draining & bit and d < sink_dist:
                 sink_dist, sink_pre = d, u

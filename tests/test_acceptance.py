@@ -10,6 +10,7 @@ import pytest
 
 from euleredit import (
     BalanceInstance,
+    Digraph,
     Graph,
     OperationSet,
     ParityInstance,
@@ -348,6 +349,29 @@ def test_directed_solver_at_n200():
     inst = BalanceInstance(g, tuple(delta))
     for s in OperationSet:
         assert _best_of_three(lambda inst: solve_cdbe(inst, s), inst) < 1.0
+
+
+def test_sparse_directed_solver_at_n1000():
+    # 1.5n random arcs and n/4 unit shifts of the balances: a sparse digraph
+    # with many components, whose minimum f-join has about 200 arcs.
+    n = 1000
+    rng = random.Random(0xD1E5 + n)
+    arcs: set[tuple[int, int]] = set()
+    while len(arcs) < 3 * n // 2:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            arcs.add((u, v))
+    delta = [0] * n
+    for u, v in arcs:
+        delta[u] += 1
+        delta[v] -= 1
+    for _ in range(n // 4):
+        u, v = rng.sample(range(n), 2)
+        delta[u] += 1
+        delta[v] -= 1
+    inst = BalanceInstance(Digraph(n, frozenset(arcs)), tuple(delta))
+    for s in OperationSet:
+        assert _best_of_three(lambda inst: solve_cdbe(inst, s), inst) < 1.5
 
 
 # -- The no-connectivity variants ------------------------------
