@@ -4,8 +4,9 @@ The optimum follows the closed formulas in |F|, p, q, t; the witness comes
 from the constructive replacement procedure: extract the edit sets from a
 minimum directed f-join, rewire the join to sweep up stray components at
 constant size, then splice a directed chain of additions through whatever
-components remain.  The outcome type, the rewiring driver and the splice
-are the ones ``cdpe`` defines; only the directed rules live here.
+components remain.  The outcome type, the rewiring driver with both swaps
+and the splice are ``cdpe``'s; only the directed rules live here: how a join
+is applied, which arc may be crossed and which arc pairs a detour replaces.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ from __future__ import annotations
 from .cdpe import (
     EditSolution,
     SolveOutcome,
+    _chain,
     _edge,
     _no_instance,
     _rewire,
     _solved,
     _splice_chain,
-    _swap,
 )
 from .fjoin import DirectedFJoin, build_gs_directed, min_f_join
 from .graphs import (
@@ -74,7 +75,9 @@ def _arc_crossable(g, h, arcs, arc, bridge_set) -> bool:
     return _edge(u, v) not in bridge_set
 
 
-def _detour_swap(g, arcs: dict, comps, comp_of: dict):
+def _arc_meetings(arcs: dict):
+    # Each arc (u, mid) into mid with each arc (mid, w) out of it, w != u,
+    # mids and arcs in sorted order; the detour keeps the direction u to w.
     heads: dict[int, list[tuple[int, int]]] = {}
     tails: dict[int, list[tuple[int, int]]] = {}
     for a in sorted(arcs):
@@ -82,20 +85,9 @@ def _detour_swap(g, arcs: dict, comps, comp_of: dict):
         tails.setdefault(a[0], []).append(a)
     for mid in sorted(heads):
         for uv in heads[mid]:
-            u = uv[0]
             for vw in tails.get(mid, ()):
-                w = vw[1]
-                if w == u:
-                    continue
-                h2 = _apply_join(g, _swap(arcs, (uv, vw), ()))
-                comp2 = {x: i for i, c in enumerate(components(h2)) for x in c}
-                if comp2[u] != comp2[mid]:
-                    continue
-                x = min(
-                    min(c) for c in comps if comp_of[next(iter(c))] != comp_of[mid]
-                )
-                return _swap(arcs, (uv, vw), ((u, x), (x, w)))
-    return None
+                if vw[1] != uv[0]:
+                    yield mid, uv, vw, ((uv[0], vw[1]),)
 
 
 def rewire_fjoin_for_connectivity(g: Digraph, f: DirectedFJoin) -> DirectedFJoin:
@@ -108,15 +100,13 @@ def rewire_fjoin_for_connectivity(g: Digraph, f: DirectedFJoin) -> DirectedFJoin
     a two-arc path (u,v), (v,w) whose removal keeps u and v together by a
     detour (u,x), (x,w) through a vertex x of another component.
     """
-    arcs = _rewire(g, dict(f.arcs), _apply_join, _arc_crossable, _detour_swap, _arc)
+    arcs = _rewire(g, dict(f.arcs), _apply_join, _arc_crossable, _arc_meetings, _arc)
     return DirectedFJoin(arcs)
 
 
 def solve_cdbe(inst: BalanceInstance, s: OperationSet) -> SolveOutcome:
     """Optimum and witness for CDBE under the given operation set."""
     g = inst.digraph
-    if g.n == 0:
-        raise GraphError("instances must have at least one vertex")
     counts = balance_counts(inst)
     p, q = counts.plain_components, counts.deficient_components
     gs = build_gs_directed(g, s)
@@ -128,8 +118,7 @@ def solve_cdbe(inst: BalanceInstance, s: OperationSet) -> SolveOutcome:
         if p <= 1:
             return _solved(inst, counts, 0, set(), set(), f.size)
         reps = [min(c) for c in components(g)]
-        cycle = {(a, b) for a, b in zip(reps, reps[1:] + reps[:1])}
-        return _solved(inst, counts, p, cycle, set(), f.size)
+        return _solved(inst, counts, p, _chain([*reps, reps[0]], _arc), set(), f.size)
 
     opt = max(f.size, p + q - 1, p + counts.total_imbalance // 2)
     rewired = rewire_fjoin_for_connectivity(g, f)
@@ -141,8 +130,6 @@ def solve_cdbe(inst: BalanceInstance, s: OperationSet) -> SolveOutcome:
 def solve_dbe(inst: BalanceInstance, s: OperationSet) -> SolveOutcome:
     """Degree balance editing without the connectivity requirement."""
     g = inst.digraph
-    if g.n == 0:
-        raise GraphError("instances must have at least one vertex")
     counts = balance_counts(inst)
     f = min_f_join(build_gs_directed(g, s), counts.imbalance or {})
     if f is None:

@@ -9,13 +9,15 @@ the witness is built by the constructive case analysis: start from a
 minimum T-join (or matching) and rewire it to sweep up stray components
 without changing its size, then splice a chain of additions through the
 components that remain.  The directed solvers in ``cdbe`` reuse the outcome
-type, the rewiring driver and the splice defined here.
+type, the splice and the rewiring driver defined here, whose cross swap and
+detour swap take only the rules in which the two cases differ.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import combinations
 
 from .graphs import (
     BalanceInstance,
@@ -64,10 +66,9 @@ class SolveOutcome:
     feasible_within_budget: bool | None = None
 
 
-def _chain(u: int, stops: list[int], v: int) -> set[tuple[int, int]]:
-    """Edges of the path u, stops..., v."""
-    route = [u, *stops, v]
-    return {_edge(a, b) for a, b in zip(route, route[1:])}
+def _chain(route: list[int], pair) -> set[tuple[int, int]]:
+    """The pairs of consecutive vertices of ``route``, written by ``pair``."""
+    return {pair(a, b) for a, b in zip(route, route[1:])}
 
 
 def _no_instance(counts: StructuralCounts, budget: int | None) -> SolveOutcome:
@@ -112,10 +113,12 @@ def _solved(
 #
 # A join is a ``{pair: multiplicity}`` dict: undirected edges or directed
 # arcs, the latter possibly doubled.  ``apply_join(g, join)`` is the edited
-# graph H = G+F, ``pair(a, b)`` writes a new join element from a to b, and
+# graph H = G+F, ``pair(a, b)`` writes a new join element from a to b,
 # ``crossable(g, h, join, element, bridge_set)`` says whether the cross swap
 # may take that element apart, given the bridges of H (of its underlying
-# graph when directed).
+# graph when directed), and ``meetings(join)`` yields the detour candidates
+# ``(mid, e1, e2, ends)`` in the order they are tried: two elements e1, e2
+# that meet at ``mid``, and the ``(u, w)`` ends a detour u-x-w may join.
 
 
 def _bump(join: dict, pair: tuple[int, int], by: int) -> None:
@@ -136,8 +139,8 @@ def _swap(join: dict, old, new) -> dict:
     return swapped
 
 
-def _rewire(g, join: dict, apply_join, crossable, detour, pair) -> dict:
-    """Apply the cross swap and ``detour`` until neither merges components.
+def _rewire(g, join: dict, apply_join, crossable, meetings, pair) -> dict:
+    """Apply the cross swap and the detour swap until neither merges components.
 
     At the fixed point either H = G+F is connected or no swap applies.
     """
@@ -150,22 +153,42 @@ def _rewire(g, join: dict, apply_join, crossable, detour, pair) -> dict:
         bridge_set = bridges(h.underlying if isinstance(h, Digraph) else h)
         swapped = _cross_swap(
             join, comp_of, lambda uv: crossable(g, h, join, uv, bridge_set), pair
-        ) or detour(g, join, comps, comp_of)
+        ) or _detour_swap(g, join, comps, apply_join, meetings, pair)
         if not swapped:
             return join
         join = swapped
 
 
 def _cross_swap(join: dict, comp_of: dict, crossable, pair):
-    """Trade a crossable uv and an xy of another component for uy and xv."""
-    for uv in sorted(join):
+    """Trade a crossable uv and the first xy of another component for uy and xv.
+
+    That xy is the join's first element or, when it shares u's component, the
+    first element outside that component: one sorted pass serves every uv."""
+    order = sorted(join)
+    home = comp_of[order[0][0]] if order else None
+    other = next((xy for xy in order if comp_of[xy[0]] != home), None)
+    for uv in order:
         if not crossable(uv):
             continue
         u, v = uv
-        for xy in sorted(join):
+        xy = order[0] if comp_of[u] != home else other
+        if xy is not None:
             x, y = xy
-            if comp_of[x] != comp_of[u]:
-                return _swap(join, (uv, xy), (pair(u, y), pair(x, v)))
+            return _swap(join, (uv, xy), (pair(u, y), pair(x, v)))
+    return None
+
+
+def _detour_swap(g, join: dict, comps, apply_join, meetings, pair):
+    """Trade e1, e2 meeting at mid for a detour u-x-w through the lowest
+    vertex x outside mid's component, at the first meeting whose removal
+    keeps an end u with mid."""
+    for mid, e1, e2, ends in meetings(join):
+        h2 = apply_join(g, _swap(join, (e1, e2), ()))
+        comp2 = {v: j for j, c in enumerate(components(h2)) for v in c}
+        for u, w in ends:
+            if comp2[u] == comp2[mid]:
+                x = min(min(c) for c in comps if mid not in c)
+                return _swap(join, (e1, e2), (pair(u, x), pair(x, w)))
     return None
 
 
@@ -176,7 +199,7 @@ def _splice_chain(g, join: dict, apply_join, pair) -> dict:
         return join
     u, v = uv = min(join)
     route = [u, *(min(c) for c in comps if u not in c), v]
-    return _swap(join, (uv,), [pair(a, b) for a, b in zip(route, route[1:])])
+    return _swap(join, (uv,), _chain(route, pair))
 
 
 # -- The undirected case ----------------------------------------------------
@@ -190,30 +213,17 @@ def _edge_crossable(g, h, edges, e, bridge_set) -> bool:
     return e not in bridge_set
 
 
-def _detour_swap(g, edges, comps, comp_of):
+def _edge_meetings(edges: dict):
+    # Each unordered pair of edges at mid, mids and edges in sorted order;
+    # the end a of the first edge is tried before the end b of the second.
     incident: dict[int, list[tuple[int, int]]] = {}
     for e in sorted(edges):
         incident.setdefault(e[0], []).append(e)
         incident.setdefault(e[1], []).append(e)
     for mid in sorted(incident):
-        stars = incident[mid]
-        for i, e1 in enumerate(stars):
-            for e2 in stars[i + 1 :]:
-                a = e1[0] if e1[1] == mid else e1[1]
-                b = e2[0] if e2[1] == mid else e2[1]
-                h2 = g.apply(additions=edges.keys() - {e1, e2})
-                comp2 = {v: j for j, c in enumerate(components(h2)) for v in c}
-                if comp2[a] == comp2[mid]:
-                    u, w = a, b
-                elif comp2[b] == comp2[mid]:
-                    u, w = b, a
-                else:
-                    continue
-                x = min(
-                    min(c) for c in comps if comp_of[next(iter(c))] != comp_of[mid]
-                )
-                return _swap(edges, (e1, e2), (_edge(u, x), _edge(x, w)))
-    return None
+        for e1, e2 in combinations(incident[mid], 2):
+            a, b = e1[0] + e1[1] - mid, e2[0] + e2[1] - mid
+            yield mid, e1, e2, ((a, b), (b, a))
 
 
 def rewire_tjoin_for_connectivity(g: Graph, f: TJoin) -> TJoin:
@@ -230,9 +240,8 @@ def rewire_tjoin_for_connectivity(g: Graph, f: TJoin) -> TJoin:
     for u, v in f.edges:
         if g.has_edge(u, v):
             raise GraphError(f"join edge ({u}, {v}) is an edge of the graph")
-    edges = _rewire(
-        g, dict.fromkeys(f.edges, 1), _apply_edges, _edge_crossable, _detour_swap, _edge
-    )
+    edges = dict.fromkeys(f.edges, 1)
+    edges = _rewire(g, edges, _apply_edges, _edge_crossable, _edge_meetings, _edge)
     return TJoin(frozenset(edges))
 
 
@@ -248,8 +257,6 @@ def _component_cliques(g: Graph, comps) -> list[bool]:
 def solve_cdpe_ea(inst: ParityInstance) -> SolveOutcome:
     """Optimum and witness for CDPE under edge addition only."""
     g = inst.graph
-    if g.n == 0:
-        raise GraphError("instances must have at least one vertex")
     counts = parity_counts(inst)
     t_set = counts.deficient
     p, q = counts.plain_components, counts.deficient_components
@@ -268,7 +275,7 @@ def solve_cdpe_ea(inst: ParityInstance) -> SolveOutcome:
                     return _no_instance(counts, inst.budget)
                 # Shortest complement cycle between two cliques is a C_4.
                 (u, v), (x, y) = (sorted(c)[:2] for c in comps)
-                square = {_edge(u, x), _edge(x, v), _edge(v, y), _edge(y, u)}
+                square = _chain([u, x, v, y, u], _edge)
                 return _solved(inst, counts, 4, square, set(), f.size)
             which = cliques.index(False)
             cu, cv = next(
@@ -278,10 +285,9 @@ def solve_cdpe_ea(inst: ParityInstance) -> SolveOutcome:
                 if a < b and not g.has_edge(a, b)
             )
             z = min(comps[1 - which])
-            triangle = {_edge(cu, cv), _edge(cv, z), _edge(z, cu)}
+            triangle = _chain([cu, cv, z, cu], _edge)
             return _solved(inst, counts, 3, triangle, set(), f.size)
-        reps = [min(c) for c in comps]
-        cycle = {_edge(a, b) for a, b in zip(reps, reps[1:] + reps[:1])}
+        cycle = _chain([*(min(c) for c in comps), min(comps[0])], _edge)
         return _solved(inst, counts, p, cycle, set(), f.size)
 
     opt = max(f.size, p + q - 1, p + len(t_set) // 2)
@@ -312,8 +318,6 @@ def _star_bridge_case(
 def solve_cdpe_ea_ed(inst: ParityInstance) -> SolveOutcome:
     """Optimum and witness for CDPE under edge addition and deletion."""
     g = inst.graph
-    if g.n == 0:
-        raise GraphError("instances must have at least one vertex")
     counts = parity_counts(inst)
     t_set = counts.deficient
     p, q = counts.plain_components, counts.deficient_components
@@ -321,8 +325,6 @@ def solve_cdpe_ea_ed(inst: ParityInstance) -> SolveOutcome:
 
     if len(t_set) % 2:
         return _no_instance(counts, inst.budget)
-    if g.n == 1:
-        return _solved(inst, counts, 0, set(), set(), 0)
     if g.n == 2:
         if g.m == 1 and len(t_set) == 2:
             return _no_instance(counts, inst.budget)
@@ -344,9 +346,8 @@ def solve_cdpe_ea_ed(inst: ParityInstance) -> SolveOutcome:
             return _solved(
                 inst, counts, 3, {_edge(x, z), _edge(y, z)}, {xy}, join_size
             )
-        reps = [min(c) for c in comps]
-        cycle = {_edge(a, b) for a, b in zip(reps, reps[1:] + reps[:1])}
-        return _solved(inst, counts, max(3, p), cycle, set(), join_size)
+        cycle = _chain([*(min(c) for c in comps), min(comps[0])], _edge)
+        return _solved(inst, counts, p, cycle, set(), join_size)
 
     sub, labels = g.induced(t_set)
     if p == 0 and q == 1:
@@ -402,11 +403,11 @@ def _general_editing_witness(g: Graph, sub: Graph, labels: tuple[int, ...]):
         }
         if not plain_reps:
             return set(m_edges), pairs
-        additions = m_edges | _chain(u1, plain_reps, u2)
+        additions = m_edges | _chain([u1, *plain_reps, u2], _edge)
         return additions, pairs - {_edge(u1, u2)}
 
     if plain_reps:
-        return m_edges | _chain(u1, plain_reps, u2), set()
+        return m_edges | _chain([u1, *plain_reps, u2], _edge), set()
 
     h = g.apply(additions=m_edges)
     if _edge(u1, u2) not in bridges(h):
@@ -433,8 +434,6 @@ def _general_editing_witness(g: Graph, sub: Graph, labels: tuple[int, ...]):
 def solve_dpe(inst: ParityInstance, s: OperationSet) -> SolveOutcome:
     """Degree parity editing without the connectivity requirement."""
     g = inst.graph
-    if g.n == 0:
-        raise GraphError("instances must have at least one vertex")
     counts = parity_counts(inst)
     if s is OperationSet.ADD_DELETE:
         # Every pair is an operation, so any pairing of T is a minimum

@@ -236,17 +236,31 @@ def _cmd_solve(args) -> int:
     return 0 if outcome.verdict is Verdict.SOLVED else 2
 
 
+def _pairs(sol: dict, key: str) -> set[tuple[int, int]]:
+    # Types are compared exactly, so that a bool (an int subclass) is refused.
+    pairs = sol.get(key, [])
+    if type(pairs) is not list or any(
+        type(e) is not list or [type(x) for x in e] != [int, int] for e in pairs
+    ):
+        raise ValueError(f"{key} must be a list of [u, v] integer pairs")
+    return {tuple(e) for e in pairs}
+
+
 def _cmd_verify(args) -> int:
     inst_file = parse_instance(_read(args.infile))
     sol = json.loads(_read(args.sol))
-    additions = {tuple(e) for e in sol.get("additions", [])}
-    deletions = {tuple(e) for e in sol.get("deletions", [])}
+    if not isinstance(sol, dict):
+        raise ValueError("a solution must be a JSON object")
+    additions, deletions = _pairs(sol, "additions"), _pairs(sol, "deletions")
+    opt = sol.get("opt")
+    if type(opt) not in (int, type(None)):
+        raise ValueError("opt must be an integer or null")
     verify = verify_balance if inst_file.directed else verify_parity
     report = verify(
         inst_file.instance,
         additions,
         deletions,
-        sol.get("opt"),
+        opt,
         require_connected=inst_file.connected and not args.no_connectivity,
     )
     print(json.dumps({"valid": report.valid, "failures": list(report.failures)}))
@@ -306,6 +320,11 @@ def generate_instance(
 
 
 def _cmd_gen(args) -> int:
+    # parse_instance's bounds on n: no file is drawn that solve would refuse.
+    if args.n <= 0:
+        raise ValueError("n must be positive")
+    if args.n > MAX_VERTICES:
+        raise ValueError(f"n must be at most {MAX_VERTICES}")
     inst_file = generate_instance(
         args.kind, OperationSet.from_string(args.opset), args.n, args.density, args.seed
     )

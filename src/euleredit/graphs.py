@@ -371,15 +371,7 @@ def parity_counts(inst: ParityInstance) -> StructuralCounts:
     deficient = frozenset(
         v for v in range(g.n) if g.degree(v) % 2 != inst.delta[v]
     )
-    comps = components(g)
-    hit = sum(1 for comp in comps if comp & deficient)
-    plain = len(comps) - hit
-    return StructuralCounts(
-        deficient=deficient,
-        plain_components=plain,
-        deficient_components=hit,
-        total_imbalance=len(deficient),
-    )
+    return _counts(g, deficient, len(deficient))
 
 
 def balance_counts(inst: BalanceInstance) -> StructuralCounts:
@@ -389,14 +381,16 @@ def balance_counts(inst: BalanceInstance) -> StructuralCounts:
     imbalance = {
         v: inst.delta[v] - bal[v] for v in range(g.n) if bal[v] != inst.delta[v]
     }
-    deficient = frozenset(imbalance)
+    total = sum(abs(x) for x in imbalance.values())
+    return _counts(g, frozenset(imbalance), total, imbalance)
+
+
+def _counts(g, deficient, total_imbalance, imbalance=None) -> StructuralCounts:
+    # The tail both counts share; every solver takes its counts first, so
+    # this is where an empty instance is refused.
+    if g.n == 0:
+        raise GraphError("instances must have at least one vertex")
     comps = components(g)
     hit = sum(1 for comp in comps if comp & deficient)
     plain = len(comps) - hit
-    return StructuralCounts(
-        deficient=deficient,
-        plain_components=plain,
-        deficient_components=hit,
-        total_imbalance=sum(abs(x) for x in imbalance.values()),
-        imbalance=imbalance,
-    )
+    return StructuralCounts(deficient, plain, hit, total_imbalance, imbalance)

@@ -6,6 +6,8 @@ from itertools import combinations
 import pytest
 
 from euleredit import Digraph, Graph
+from euleredit.cdbe import _apply_join
+from euleredit.cdpe import _edge, _swap
 from euleredit.cli import KINDS, MAX_VERTICES, InstanceFile, ParseError
 from euleredit.fjoin import DirectedFJoin
 from euleredit.graphs import (
@@ -243,6 +245,74 @@ def reference_min_t_join(gs, t_set) -> TJoin | None:
             join.symmetric_difference_update({e})
             v = u
     return TJoin(frozenset(join))
+
+
+def reference_cross_swap(join: dict, comp_of: dict, crossable, pair):
+    """``cdpe._cross_swap`` as a nested scan: for each crossable uv, the join
+    is sorted again and scanned for the first xy of another component."""
+    for uv in sorted(join):
+        if not crossable(uv):
+            continue
+        u, v = uv
+        for xy in sorted(join):
+            x, y = xy
+            if comp_of[x] != comp_of[u]:
+                return _swap(join, (uv, xy), (pair(u, y), pair(x, v)))
+    return None
+
+
+def reference_edge_detour_swap(g, edges: dict, comps, comp_of: dict):
+    """The undirected ``cdpe._detour_swap`` as a body of its own: the pairs of
+    edges at each mid, trying the first edge's end before the second's."""
+    incident: dict[int, list[tuple[int, int]]] = {}
+    for e in sorted(edges):
+        incident.setdefault(e[0], []).append(e)
+        incident.setdefault(e[1], []).append(e)
+    for mid in sorted(incident):
+        stars = incident[mid]
+        for i, e1 in enumerate(stars):
+            for e2 in stars[i + 1 :]:
+                a = e1[0] if e1[1] == mid else e1[1]
+                b = e2[0] if e2[1] == mid else e2[1]
+                h2 = g.apply(additions=edges.keys() - {e1, e2})
+                comp2 = {v: j for j, c in enumerate(components(h2)) for v in c}
+                if comp2[a] == comp2[mid]:
+                    u, w = a, b
+                elif comp2[b] == comp2[mid]:
+                    u, w = b, a
+                else:
+                    continue
+                x = min(
+                    min(c) for c in comps if comp_of[next(iter(c))] != comp_of[mid]
+                )
+                return _swap(edges, (e1, e2), (_edge(u, x), _edge(x, w)))
+    return None
+
+
+def reference_arc_detour_swap(g, arcs: dict, comps, comp_of: dict):
+    """The directed ``cdpe._detour_swap`` as a body of its own: each arc into
+    mid with each arc out of it, the detour keeping the direction."""
+    heads: dict[int, list[tuple[int, int]]] = {}
+    tails: dict[int, list[tuple[int, int]]] = {}
+    for a in sorted(arcs):
+        heads.setdefault(a[1], []).append(a)
+        tails.setdefault(a[0], []).append(a)
+    for mid in sorted(heads):
+        for uv in heads[mid]:
+            u = uv[0]
+            for vw in tails.get(mid, ()):
+                w = vw[1]
+                if w == u:
+                    continue
+                h2 = _apply_join(g, _swap(arcs, (uv, vw), ()))
+                comp2 = {x: i for i, c in enumerate(components(h2)) for x in c}
+                if comp2[u] != comp2[mid]:
+                    continue
+                x = min(
+                    min(c) for c in comps if comp_of[next(iter(c))] != comp_of[mid]
+                )
+                return _swap(arcs, (uv, vw), ((u, x), (x, w)))
+    return None
 
 
 def reference_parse_instance(text: str) -> InstanceFile:

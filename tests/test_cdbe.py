@@ -13,12 +13,19 @@ from euleredit import (
     solve_dbe,
     verify_balance,
 )
-from euleredit.cdbe import extract_af_df, rewire_fjoin_for_connectivity
+import euleredit.cdpe as cdpe
+from euleredit.cdbe import (
+    _apply_join,
+    _arc,
+    _arc_meetings,
+    extract_af_df,
+    rewire_fjoin_for_connectivity,
+)
 from euleredit.cli import main, parse_instance
 from euleredit.fjoin import DirectedFJoin
 from euleredit.graphs import components
 
-from conftest import balance, from_arcs, random_digraph
+from conftest import balance, from_arcs, random_digraph, reference_arc_detour_swap
 
 
 def _inst(n, arcs, delta=None):
@@ -27,8 +34,11 @@ def _inst(n, arcs, delta=None):
 
 
 def test_rejects_empty_digraph():
-    with pytest.raises(GraphError):
-        solve_cdbe(BalanceInstance(Digraph(0, frozenset()), ()), OperationSet.ADD)
+    inst = BalanceInstance(Digraph(0, frozenset()), ())
+    for solve in (solve_cdbe, solve_dbe):
+        for s in OperationSet:
+            with pytest.raises(GraphError, match="at least one vertex"):
+                solve(inst, s)
 
 
 def test_extract_af_df():
@@ -134,14 +144,13 @@ def test_instance_components_never_split():
                 assert len({comp_of[v] for v in comp}) == 1
 
 
-@pytest.mark.parametrize(
-    "text,opt",
-    [
-        ("p cdbe ea+ed 4 1\na 0 3\nd 1 -2\nd 3 2\n", 4),
-        ("p cdbe ea+ed 7 3\na 1 5\na 3 0\na 5 3\nd 0 -1\nd 3 -2\nd 5 3\n", 6),
-    ],
-    ids=["n4", "n7"],
-)
+DOUBLED_ARC_DETOURS = [
+    ("p cdbe ea+ed 4 1\na 0 3\nd 1 -2\nd 3 2\n", 4),
+    ("p cdbe ea+ed 7 3\na 1 5\na 3 0\na 5 3\nd 0 -1\nd 3 -2\nd 5 3\n", 6),
+]
+
+
+@pytest.mark.parametrize("text,opt", DOUBLED_ARC_DETOURS, ids=["n4", "n7"])
 def test_detour_through_a_doubled_arc(tmp_path, capsys, text, opt):
     # The only detour trades one copy of a doubled join arc.  Dropping that
     # copy keeps the other copy's edit, so the detour test must look at the
@@ -177,3 +186,72 @@ def test_random_batch_with_shifted_balances():
             if out.verdict is Verdict.SOLVED:
                 edits = out.solution.additions | out.solution.deletions
                 assert len(edits) == out.opt
+
+
+def _detour(g, arcs):
+    """The shared detour swap and the directed reference on one G+F."""
+    comps = components(_apply_join(g, arcs))
+    comp_of = {v: i for i, c in enumerate(comps) for v in c}
+    shared = cdpe._detour_swap(g, arcs, comps, _apply_join, _arc_meetings, _arc)
+    return shared, reference_arc_detour_swap(g, arcs, comps, comp_of)
+
+
+def _random_join(rng, g):
+    """Arcs of the ea+ed operation graph: an addition, a deletion written as
+    the reverse arc, or a doubled arc that does both; no antiparallel pair."""
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    arcs = {}
+    for u, v in rng.sample(pairs, min(len(pairs), rng.randrange(2, 6))):
+        if rng.random() < 0.5:
+            u, v = v, u
+        if (u, v) in g.arcs and (v, u) not in g.arcs:
+            continue
+        doubled = (v, u) in g.arcs and (u, v) not in g.arcs and rng.random() < 0.5
+        arcs[(u, v)] = 2 if doubled else 1
+    return arcs
+
+
+def test_detour_swap_matches_reference_on_seeded_joins():
+    rng = random.Random(20261020)
+    found = 0
+    for _ in range(1500):
+        g = random_digraph(rng, rng.randrange(3, 9), rng.uniform(0.05, 0.3))
+        arcs = _random_join(rng, g)
+        if len(components(_apply_join(g, arcs))) == 1:
+            continue
+        shared, reference = _detour(g, arcs)
+        assert shared == reference
+        found += shared is not None
+    assert found > 50
+
+
+def test_detour_swap_matches_reference_in_the_solvers(monkeypatch):
+    shared = cdpe._detour_swap
+    found = []
+
+    def checked(g, arcs, comps, apply_join, meetings, pair):
+        swapped = shared(g, arcs, comps, apply_join, meetings, pair)
+        comp_of = {v: i for i, c in enumerate(comps) for v in c}
+        assert swapped == reference_arc_detour_swap(g, arcs, comps, comp_of)
+        found.append(swapped is not None)
+        return swapped
+
+    monkeypatch.setattr(cdpe, "_detour_swap", checked)
+    for text, opt in DOUBLED_ARC_DETOURS:
+        inst_file = parse_instance(text)
+        found.clear()
+        assert solve_cdbe(inst_file.instance, inst_file.opset).opt == opt
+        assert any(found)
+    rng = random.Random(16)
+    for _ in range(1500):
+        n = rng.randrange(2, 10)
+        g = random_digraph(rng, n, rng.uniform(0.05, 0.6))
+        delta = list(g.balances)
+        for _ in range(rng.randrange(4)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                delta[u] += 1
+                delta[v] -= 1
+        for s in OperationSet:
+            solve_cdbe(BalanceInstance(g, tuple(delta)), s)
+    assert any(found) and not all(found)

@@ -13,11 +13,20 @@ from euleredit import (
     solve_dpe,
     verify_parity,
 )
+from itertools import combinations
+
+import euleredit.cdpe as cdpe
 from euleredit.cdpe import rewire_tjoin_for_connectivity
 from euleredit.graphs import components
 from euleredit.tjoin import TJoin
 
-from conftest import from_edges, odd_vertices, random_graph
+from conftest import (
+    from_edges,
+    odd_vertices,
+    random_graph,
+    reference_cross_swap,
+    reference_edge_detour_swap,
+)
 
 
 def _inst(n, edges, deficient=()):
@@ -125,6 +134,96 @@ def test_rewire_rejects_existing_edges():
     g = from_edges(2, [(0, 1)])
     with pytest.raises(GraphError):
         rewire_tjoin_for_connectivity(g, TJoin(frozenset({(0, 1)})))
+
+
+def _detour(g, join):
+    """The shared detour swap and the undirected reference on one G+F."""
+    comps = components(g.apply(additions=join))
+    comp_of = {v: i for i, c in enumerate(comps) for v in c}
+    shared = cdpe._detour_swap(
+        g, join, comps, cdpe._apply_edges, cdpe._edge_meetings, cdpe._edge
+    )
+    return shared, reference_edge_detour_swap(g, join, comps, comp_of)
+
+
+def test_detour_takes_the_second_end_when_only_it_stays_with_mid():
+    # Edges 0-1 and 1-2 of F meet at mid 1.  Without them 0 is cut off
+    # from 1 while 2 still reaches it through 3, so the detour runs 2-x-0.
+    g = from_edges(5, [(1, 3), (2, 3)])
+    join = {(0, 1): 1, (1, 2): 1}
+    shared, reference = _detour(g, join)
+    assert shared == reference == {(2, 4): 1, (0, 4): 1}
+    rewired = rewire_tjoin_for_connectivity(g, TJoin(frozenset(join)))
+    assert rewired.edges == {(2, 4), (0, 4)}
+
+
+def test_detour_swap_matches_reference_on_seeded_joins():
+    rng = random.Random(20261020)
+    found = 0
+    for _ in range(1500):
+        n = rng.randrange(3, 10)
+        g = random_graph(rng, n, rng.uniform(0.05, 0.4))
+        missing = [e for e in combinations(range(n), 2) if not g.has_edge(*e)]
+        size = min(len(missing), rng.randrange(2, 7))
+        join = dict.fromkeys(rng.sample(missing, size), 1)
+        if len(components(g.apply(additions=join))) == 1:
+            continue
+        shared, reference = _detour(g, join)
+        assert shared == reference
+        found += shared is not None
+    assert found > 50
+
+
+def test_detour_swap_matches_reference_in_the_solvers(monkeypatch):
+    shared = cdpe._detour_swap
+    found = []
+
+    def checked(g, join, comps, apply_join, meetings, pair):
+        swapped = shared(g, join, comps, apply_join, meetings, pair)
+        comp_of = {v: i for i, c in enumerate(comps) for v in c}
+        assert swapped == reference_edge_detour_swap(g, join, comps, comp_of)
+        found.append(swapped is not None)
+        return swapped
+
+    monkeypatch.setattr(cdpe, "_detour_swap", checked)
+    rng = random.Random(16)
+    for _ in range(3000):
+        n = rng.randrange(3, 12)
+        g = random_graph(rng, n, rng.uniform(0.02, 0.5))
+        deficient = rng.sample(range(n), 2 * rng.randrange(n // 2 + 1))
+        inst = _inst(n, g.edges, deficient)
+        solve_cdpe_ea(inst)
+        solve_cdpe_ea_ed(inst)
+    assert any(found) and not all(found)
+
+
+def _cross_cases(rng):
+    """Seeded (join, comp_of, crossable) triples, with the edge cases first:
+    an empty join, every element in one component (no xy for any uv),
+    and crossable elements that share the first element's component."""
+    yield {}, {v: 0 for v in range(4)}, lambda uv: True
+    yield {(0, 1): 1, (1, 2): 2}, {0: 0, 1: 0, 2: 0, 3: 1}, lambda uv: True
+    comp_of = {0: 0, 1: 0, 2: 0, 3: 1, 4: 1}
+    join = {(0, 1): 1, (0, 2): 1, (1, 2): 1, (3, 4): 1}
+    yield join, comp_of, lambda uv: uv != (0, 1)
+    for _ in range(3000):
+        n = rng.randrange(2, 9)
+        comp_of = {v: rng.randrange(rng.randrange(1, 4)) for v in range(n)}
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        picked = rng.sample(pairs, rng.randrange(len(pairs)))
+        join = {e: rng.choice((1, 1, 2)) for e in picked}
+        crossable = set(rng.sample(sorted(join), rng.randrange(len(join) + 1)))
+        yield join, comp_of, crossable.__contains__
+
+
+def test_cross_swap_matches_the_nested_scan():
+    swaps = 0
+    for join, comp_of, crossable in _cross_cases(random.Random(5)):
+        for pair in (cdpe._edge, lambda a, b: (a, b)):
+            swapped = cdpe._cross_swap(join, comp_of, crossable, pair)
+            assert swapped == reference_cross_swap(join, comp_of, crossable, pair)
+            swaps += swapped is not None
+    assert swaps > 1000
 
 
 def test_solve_dpe_ignores_connectivity():

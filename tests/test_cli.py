@@ -306,6 +306,37 @@ def test_verify_command(tmp_path, capsys):
     assert code == 2 and not json.loads(out)["valid"]
 
 
+@pytest.mark.parametrize(
+    "sol,fragment",
+    [
+        ([[0, 2]], "a solution must be a JSON object"),
+        ({"additions": 5}, "additions must be a list"),
+        ({"additions": None}, "additions must be a list"),
+        ({"additions": [["0", "2"]]}, "additions must be a list"),
+        ({"additions": [[0.0, 2]]}, "additions must be a list"),
+        ({"additions": [[True, 2]]}, "additions must be a list"),
+        ({"additions": [[[0], 2]]}, "additions must be a list"),
+        ({"deletions": [[0, "1"]]}, "deletions must be a list"),
+        ({"additions": [[0, 2]], "opt": "x"}, "opt must be an integer or null"),
+        ({"additions": [[0, 2]], "opt": 1.0}, "opt must be an integer or null"),
+        ({"additions": [[0, 2]], "opt": True}, "opt must be an integer or null"),
+    ],
+    ids=[
+        "array", "additions-int", "additions-null", "string-ends", "float-end",
+        "bool-end", "list-end", "string-deletion", "opt-string", "opt-float",
+        "opt-bool",
+    ],
+)
+def test_verify_rejects_malformed_solutions(tmp_path, capsys, sol, fragment):
+    inst = tmp_path / "inst.txt"
+    inst.write_text(P3)
+    path = tmp_path / "sol.json"
+    path.write_text(json.dumps(sol))
+    code, out, err = _run(capsys, "verify", "--in", str(inst), "--sol", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and fragment in err
+
+
 def test_oracle_command(tmp_path, capsys):
     path = tmp_path / "inst.txt"
     path.write_text("p cdpe ea 4 0\n")
@@ -339,6 +370,16 @@ def test_gen_is_deterministic(capsys):
     assert other != runs[0]
     parsed = parse_instance(runs[0])
     assert sum(parsed.instance.delta) == 0
+
+
+def test_gen_keeps_to_the_parsers_bounds_on_n(capsys, monkeypatch):
+    monkeypatch.setattr(euleredit.cli, "MAX_VERTICES", 8)
+    for n, message in (("0", "n must be positive"), ("-2", "n must be positive"),
+                       ("9", "n must be at most 8")):
+        code, out, err = _run(capsys, "gen", "--kind", "dbe", "-n", n, "--seed", "1")
+        assert code == 1 and out == "" and err == f"error: {message}\n"
+    code, out, _ = _run(capsys, "gen", "--kind", "dbe", "-n", "8", "--seed", "1")
+    assert code == 0 and parse_instance(out).instance.digraph.n == 8
 
 
 def test_gen_requires_seed(capsys):
