@@ -193,10 +193,9 @@ def _detour_swap(g, join: dict, comps, apply_join, meetings, pair):
 
 
 def _splice_chain(g, join: dict, apply_join, pair) -> dict:
-    """Replace one join element by a chain through every other component."""
+    """Replace one join element by a chain through every other component;
+    with one component, the chain is that element itself."""
     comps = components(apply_join(g, join))
-    if len(comps) == 1:
-        return join
     u, v = uv = min(join)
     route = [u, *(min(c) for c in comps if u not in c), v]
     return _swap(join, (uv,), _chain(route, pair))
@@ -302,7 +301,7 @@ def _star_bridge_case(
     ``sub`` is G[T] and ``labels`` the sorted T, as ``g.induced(T)`` returns
     them.  Returns (center, sorted leaves) or None.  Callers guarantee p=0, q=1.
     """
-    if sub.m == 0 or sub.m != sub.n - 1:
+    if sub.m != sub.n - 1:
         return None
     centers = [i for i in range(sub.n) if sub.degree(i) == sub.m]
     if not centers:
@@ -325,14 +324,9 @@ def solve_cdpe_ea_ed(inst: ParityInstance) -> SolveOutcome:
 
     if len(t_set) % 2:
         return _no_instance(counts, inst.budget)
-    if g.n == 2:
-        if g.m == 1 and len(t_set) == 2:
-            return _no_instance(counts, inst.budget)
-        if g.m == 0 and not t_set:
-            return _no_instance(counts, inst.budget)
-        if g.m == 0:
-            return _solved(inst, counts, 1, {(0, 1)}, set(), join_size)
-        return _solved(inst, counts, 0, set(), set(), join_size)
+    if g.n == 2 and g.m == join_size:
+        # T = V with the edge present, or T empty with it absent.
+        return _no_instance(counts, inst.budget)
 
     if q == 0:
         if p == 1:
@@ -375,12 +369,10 @@ def solve_cdpe_ea_ed(inst: ParityInstance) -> SolveOutcome:
 def _single_bridge_witness(g: Graph, center: int, leaf: int):
     # Some third vertex neighbors the center or the leaf; re-hang the
     # bridge through it.
-    for x in set_bits(g.adjacency_bits[center]):
-        if x != leaf:
-            return {_edge(x, leaf)}, {_edge(x, center)}
-    for x in set_bits(g.adjacency_bits[leaf]):
-        if x != center:
-            return {_edge(x, center)}, {_edge(x, leaf)}
+    for a, b in ((center, leaf), (leaf, center)):
+        for x in set_bits(g.adjacency_bits[a]):
+            if x != b:
+                return {_edge(x, b)}, {_edge(x, a)}
     raise SolverInvariantError("star-bridge case requires a third vertex nearby")
 
 
@@ -395,23 +387,15 @@ def _general_editing_witness(g: Graph, sub: Graph, labels: tuple[int, ...]):
         return _rewired_and_spliced(g, TJoin(frozenset(m_edges))), set()
 
     plain_reps = [min(c) for c in components(g) if c.isdisjoint(labels)]
-    z = len(unmatched)
     u1, u2 = unmatched[0], unmatched[1]
-    if z >= 4:
-        pairs = {
-            _edge(unmatched[2 * i], unmatched[2 * i + 1]) for i in range(z // 2)
-        }
-        if not plain_reps:
-            return set(m_edges), pairs
+    pairs = {_edge(a, b) for a, b in zip(unmatched[::2], unmatched[1::2])}
+    if plain_reps:
         additions = m_edges | _chain([u1, *plain_reps, u2], _edge)
         return additions, pairs - {_edge(u1, u2)}
 
-    if plain_reps:
-        return m_edges | _chain([u1, *plain_reps, u2], _edge), set()
-
     h = g.apply(additions=m_edges)
-    if _edge(u1, u2) not in bridges(h):
-        return set(m_edges), {_edge(u1, u2)}
+    if len(unmatched) > 2 or _edge(u1, u2) not in bridges(h):
+        return set(m_edges), pairs
 
     # u1u2 is a bridge of G+M; all matching edges sit on one side of it.
     h_cut = h.apply(deletions=[_edge(u1, u2)])

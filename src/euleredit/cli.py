@@ -325,6 +325,8 @@ def _cmd_gen(args) -> int:
         raise ValueError("n must be positive")
     if args.n > MAX_VERTICES:
         raise ValueError(f"n must be at most {MAX_VERTICES}")
+    if not 0 <= args.density <= 1:
+        raise ValueError("density must be between 0 and 1")
     inst_file = generate_instance(
         args.kind, OperationSet.from_string(args.opset), args.n, args.density, args.seed
     )

@@ -1,15 +1,16 @@
 """Matching subroutines: maximum matching and minimum-weight perfect matching.
 
-The workhorse is a primal-dual blossom algorithm for maximum-weight matching
-(Galil's formulation, O(n^3)).  Vertex duals are kept multiplied by two so
-that all arithmetic stays in the integers.  Both public operations are thin
-reductions onto it:
+The workhorse is a primal-dual blossom algorithm for maximum-weight
+maximum-cardinality matching (Galil's formulation, O(n^3)), with one mode.
+Vertex duals are kept multiplied by two so that all arithmetic stays in the
+integers.  Both public operations are thin reductions onto it:
 
-* maximum-cardinality matching = maximum-weight matching with unit weights;
-* minimum-weight perfect matching = maximum-weight maximum-cardinality
-  matching after the transformation w' = max_w - w.  Its weight table,
-  ``WeightedCompleteGraph``, is the list of allowed pairs with their
-  weights; a forbidden pair is one the list leaves out.
+* maximum-cardinality matching = the engine with unit weights, where every
+  maximum-cardinality matching has maximum weight;
+* minimum-weight perfect matching = the engine after the transformation
+  w' = max_w - w.  Its weight table, ``WeightedCompleteGraph``, is the list
+  of allowed pairs with their weights; a forbidden pair is one the list
+  leaves out.
 
 The brute-force matchers the tests check these against live in ``oracle``.
 """
@@ -56,7 +57,7 @@ def max_matching(g: Graph) -> Matching:
     """A maximum-cardinality matching of ``g`` (blossom algorithm)."""
     rows = enumerate(g.adjacency_bits)
     edges = [(u, v, 1) for u, row in rows for v in set_bits(row >> u + 1 << u + 1)]
-    mate = _max_weight_matching(g.n, edges, maxcardinality=False)
+    mate = _max_weight_matching(g.n, edges)
     return Matching(frozenset((u, mate[u]) for u in range(g.n) if u < mate[u] != -1))
 
 
@@ -68,7 +69,7 @@ def min_weight_perfect_matching(w: WeightedCompleteGraph) -> Matching | None:
     # Flip weights so that maximum-weight maximum-cardinality matching on the
     # allowed pairs is exactly the minimum-weight perfect matching.
     flipped = [(u, v, maxw - wt) for u, v, wt in w.edges]
-    mate = _max_weight_matching(w.k, flipped, maxcardinality=True)
+    mate = _max_weight_matching(w.k, flipped)
     if any(m == -1 for m in mate):
         return None
     return Matching(frozenset((u, mate[u]) for u in range(w.k) if u < mate[u]))
@@ -93,13 +94,24 @@ class _Blossom:
                 yield t
 
 
-def _max_weight_matching(
-    n: int, edges: list[tuple[int, int, int]], maxcardinality: bool
-) -> list[int]:
-    """Maximum-weight matching over integer-weighted edges.
+def _unwind(step, args) -> None:
+    """Run the recursion ``step(*args)`` on an explicit stack of generators,
+    so that deep blossom nestings meet no recursion limit: each tuple a step
+    yields is the arguments of a nested call, run before the step resumes."""
+    stack = [step(*args)]
+    while stack:
+        for nested in stack[-1]:
+            stack.append(step(*nested))
+            break
+        else:
+            stack.pop()
 
-    Returns mate[v] per vertex (-1 when single).  With ``maxcardinality``
-    the matching has maximum size and, among those, maximum weight.
+
+def _max_weight_matching(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
+    """Maximum-weight maximum-cardinality matching over integer-weighted edges.
+
+    Returns mate[v] per vertex (-1 when single): among the matchings of
+    maximum size, one of maximum weight.
     """
     if n == 0 or not edges:
         return [-1] * n
@@ -242,125 +254,105 @@ def _max_weight_matching(
                 mybestslack = kslack
         bestedge[b] = mybestedge
 
-    def expand_blossom(bloss, endstage):
-        # Iterative via an explicit stack of generators to avoid recursion
-        # limits on deep blossom nestings.
-        def _recurse(b, endstage):
-            for s in b.childs:
-                blossomparent[s] = None
-                if isinstance(s, _Blossom):
-                    if endstage and blossomdual[s] == 0:
-                        yield s
-                    else:
-                        for v in s.leaves():
-                            inblossom[v] = s
+    # The two blossom recursions are steps for ``_unwind``: each yields the
+    # arguments of its nested calls.
+    def expand_blossom(b, endstage):
+        for s in b.childs:
+            blossomparent[s] = None
+            if isinstance(s, _Blossom):
+                if endstage and blossomdual[s] == 0:
+                    yield s, endstage
                 else:
-                    inblossom[s] = s
-            if (not endstage) and label.get(b) == 2:
-                entrychild = inblossom[labeledge[b][1]]
-                j = b.childs.index(entrychild)
-                if j & 1:
-                    j -= len(b.childs)
-                    jstep = 1
-                else:
-                    jstep = -1
-                v, w = labeledge[b]
-                while j != 0:
-                    if jstep == 1:
-                        p, q = b.edges[j]
-                    else:
-                        q, p = b.edges[j - 1]
-                    label[w] = None
-                    label[q] = None
-                    assign_label(w, 2, v)
-                    allowedge[(p, q)] = allowedge[(q, p)] = True
-                    j += jstep
-                    if jstep == 1:
-                        v, w = b.edges[j]
-                    else:
-                        w, v = b.edges[j - 1]
-                    allowedge[(v, w)] = allowedge[(w, v)] = True
-                    j += jstep
-                bw = b.childs[j]
-                label[w] = label[bw] = 2
-                labeledge[w] = labeledge[bw] = (v, w)
-                bestedge[bw] = None
-                j += jstep
-                while b.childs[j] != entrychild:
-                    bv = b.childs[j]
-                    if label.get(bv) == 1:
-                        j += jstep
-                        continue
-                    if isinstance(bv, _Blossom):
-                        for v in bv.leaves():
-                            if label.get(v):
-                                break
-                    else:
-                        v = bv
-                    if label.get(v):
-                        assert label[v] == 2
-                        assert inblossom[v] == bv
-                        label[v] = None
-                        label[mate[blossombase[bv]]] = None
-                        assign_label(v, 2, labeledge[v][0])
-                    j += jstep
-            label.pop(b, None)
-            labeledge.pop(b, None)
-            bestedge.pop(b, None)
-            del blossomparent[b]
-            del blossombase[b]
-            del blossomdual[b]
-
-        stack = [_recurse(bloss, endstage)]
-        while stack:
-            top = stack[-1]
-            for s in top:
-                stack.append(_recurse(s, endstage))
-                break
+                    for v in s.leaves():
+                        inblossom[v] = s
             else:
-                stack.pop()
-
-    def augment_blossom(bloss, vert):
-        def _recurse(b, v):
-            t = v
-            while blossomparent[t] != b:
-                t = blossomparent[t]
-            if isinstance(t, _Blossom):
-                yield (t, v)
-            i = j = b.childs.index(t)
-            if i & 1:
+                inblossom[s] = s
+        if (not endstage) and label.get(b) == 2:
+            entrychild = inblossom[labeledge[b][1]]
+            j = b.childs.index(entrychild)
+            if j & 1:
                 j -= len(b.childs)
                 jstep = 1
             else:
                 jstep = -1
+            v, w = labeledge[b]
             while j != 0:
-                j += jstep
-                t = b.childs[j]
                 if jstep == 1:
-                    w, x = b.edges[j]
+                    p, q = b.edges[j]
                 else:
-                    x, w = b.edges[j - 1]
-                if isinstance(t, _Blossom):
-                    yield (t, w)
+                    q, p = b.edges[j - 1]
+                label[w] = None
+                label[q] = None
+                assign_label(w, 2, v)
+                allowedge[(p, q)] = allowedge[(q, p)] = True
                 j += jstep
-                t = b.childs[j]
-                if isinstance(t, _Blossom):
-                    yield (t, x)
-                mate[w] = x
-                mate[x] = w
-            b.childs = b.childs[i:] + b.childs[:i]
-            b.edges = b.edges[i:] + b.edges[:i]
-            blossombase[b] = blossombase[b.childs[0]]
-            assert blossombase[b] == v
+                if jstep == 1:
+                    v, w = b.edges[j]
+                else:
+                    w, v = b.edges[j - 1]
+                allowedge[(v, w)] = allowedge[(w, v)] = True
+                j += jstep
+            bw = b.childs[j]
+            label[w] = label[bw] = 2
+            labeledge[w] = labeledge[bw] = (v, w)
+            bestedge[bw] = None
+            j += jstep
+            while b.childs[j] != entrychild:
+                bv = b.childs[j]
+                if label.get(bv) == 1:
+                    j += jstep
+                    continue
+                if isinstance(bv, _Blossom):
+                    for v in bv.leaves():
+                        if label.get(v):
+                            break
+                else:
+                    v = bv
+                if label.get(v):
+                    assert label[v] == 2
+                    assert inblossom[v] == bv
+                    label[v] = None
+                    label[mate[blossombase[bv]]] = None
+                    assign_label(v, 2, labeledge[v][0])
+                j += jstep
+        label.pop(b, None)
+        labeledge.pop(b, None)
+        bestedge.pop(b, None)
+        del blossomparent[b]
+        del blossombase[b]
+        del blossomdual[b]
 
-        stack = [_recurse(bloss, vert)]
-        while stack:
-            top = stack[-1]
-            for args in top:
-                stack.append(_recurse(*args))
-                break
+    def augment_blossom(b, v):
+        t = v
+        while blossomparent[t] != b:
+            t = blossomparent[t]
+        if isinstance(t, _Blossom):
+            yield t, v
+        i = j = b.childs.index(t)
+        if i & 1:
+            j -= len(b.childs)
+            jstep = 1
+        else:
+            jstep = -1
+        while j != 0:
+            j += jstep
+            t = b.childs[j]
+            if jstep == 1:
+                w, x = b.edges[j]
             else:
-                stack.pop()
+                x, w = b.edges[j - 1]
+            if isinstance(t, _Blossom):
+                yield t, w
+            j += jstep
+            t = b.childs[j]
+            if isinstance(t, _Blossom):
+                yield t, x
+            mate[w] = x
+            mate[x] = w
+        b.childs = b.childs[i:] + b.childs[:i]
+        b.edges = b.edges[i:] + b.edges[:i]
+        blossombase[b] = blossombase[b.childs[0]]
+        assert blossombase[b] == v
 
     def augment_matching(v, w):
         for s, j in ((v, w), (w, v)):
@@ -368,7 +360,7 @@ def _max_weight_matching(
                 bs = inblossom[s]
                 assert label[bs] == 1
                 if isinstance(bs, _Blossom):
-                    augment_blossom(bs, s)
+                    _unwind(augment_blossom, (bs, s))
                 mate[s] = j
                 if labeledge[bs] is None:
                     break
@@ -378,7 +370,7 @@ def _max_weight_matching(
                 s, j = labeledge[bt]
                 assert blossombase[bt] == t
                 if isinstance(bt, _Blossom):
-                    augment_blossom(bt, j)
+                    _unwind(augment_blossom, (bt, j))
                 mate[j] = s
 
     while 1:
@@ -433,13 +425,9 @@ def _max_weight_matching(
             if augmented:
                 break
 
-            # Dual adjustment: pick the smallest of the four classic deltas.
+            # Dual adjustment: pick the smallest of the classic deltas 2-4.
             deltatype = -1
             delta = deltaedge = deltablossom = None
-
-            if not maxcardinality:
-                deltatype = 1
-                delta = min(dualvar)
 
             for v in range(n):
                 if label.get(inblossom[v]) is None and bestedge.get(v) is not None:
@@ -475,7 +463,6 @@ def _max_weight_matching(
 
             if deltatype == -1:
                 # Maximum cardinality reached; normalize duals and stop.
-                assert maxcardinality
                 deltatype = 1
                 delta = max(0, min(dualvar))
 
@@ -505,7 +492,7 @@ def _max_weight_matching(
                 assert label[inblossom[v]] == 1
                 queue.append(v)
             else:
-                expand_blossom(deltablossom, False)
+                _unwind(expand_blossom, (deltablossom, False))
 
         for v in range(n):
             assert mate[v] == -1 or mate[mate[v]] == v
@@ -516,6 +503,6 @@ def _max_weight_matching(
             if b not in blossomdual:
                 continue
             if blossomparent[b] is None and label.get(b) == 1 and blossomdual[b] == 0:
-                expand_blossom(b, True)
+                _unwind(expand_blossom, (b, True))
 
     return mate

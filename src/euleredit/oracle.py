@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .fjoin import DirectedOperationGraph
-from .graphs import Digraph, Graph, OperationSet
+from .graphs import Digraph, Graph, OperationSet, set_bits
 from .matching import Matching, WeightedCompleteGraph
 
 
@@ -237,8 +237,15 @@ def oracle_cdbe(
 # Directed f-join oracle (multigraph-aware).
 
 
+def _arc_copies(gs: DirectedOperationGraph):
+    """Each copy of each arc of G_S, arcs in sorted order, read off its rows."""
+    for u, row in enumerate(gs.out):
+        for v in set_bits(row):
+            yield from [(u, v)] * (1 + (gs.twice[u] >> v & 1))
+
+
 @lru_cache(maxsize=16)
-def _fjoin_best(gs: Digraph):
+def _fjoin_best(gs: DirectedOperationGraph):
     """Min sub-multiset size per balance signature, sizes > 7 dropped.
 
     Nibble packing is exact for every sub-multiset of size <= 7; larger
@@ -248,61 +255,60 @@ def _fjoin_best(gs: Digraph):
     n = gs.n
     best = np.full(1 << (4 * n), _INF, dtype=np.int16)
     best[_balance_key(n, [0] * n)] = 0
-    for u, v in sorted(gs.arcs):
+    for u, v in _arc_copies(gs):
         shift = (1 << (4 * u)) - (1 << (4 * v))
-        for _ in range(gs.multiplicity((u, v))):
-            bumped = np.full_like(best, _INF)
-            if shift > 0:
-                bumped[shift:] = best[:-shift] + 1
-            else:
-                bumped[:shift] = best[-shift:] + 1
-            best = np.minimum(best, bumped)
-            best[best > 7] = _INF
+        bumped = np.full_like(best, _INF)
+        if shift > 0:
+            bumped[shift:] = best[:-shift] + 1
+        else:
+            bumped[:shift] = best[-shift:] + 1
+        best = np.minimum(best, bumped)
+        best[best > 7] = _INF
     return best
 
 
 def oracle_min_f_join(gs: DirectedOperationGraph, f: Mapping[int, int]) -> int | None:
-    """Minimum directed f-join size in the arc multigraph ``gs.base``, or None.
+    """Minimum directed f-join size in the arc multigraph G_S, or None.
 
     Exhaustive over sub-multisets; a join of size <= supply * (n-1) exists
     whenever any join does (shortest-path decomposition), so the search is
     capped there.
     """
-    base = gs.base
     f = {v: x for v, x in f.items() if x}
     if sum(f.values()) != 0:
         return None
     supply = sum(x for x in f.values() if x > 0)
-    cap = supply * max(1, base.n - 1)
-    if cap <= 7 and base.n <= 4:
-        target = [f.get(v, 0) for v in range(base.n)]
+    cap = supply * max(1, gs.n - 1)
+    if cap <= 7 and gs.n <= 4:
+        target = [f.get(v, 0) for v in range(gs.n)]
         if any(abs(x) > 7 for x in target):
             return None
-        value = int(_fjoin_best(base)[_balance_key(base.n, target)])
+        value = int(_fjoin_best(gs)[_balance_key(gs.n, target)])
         return None if value > cap else value
-    return _fjoin_dict_dp(base, f, cap)
+    return _fjoin_dict_dp(gs, f, cap)
 
 
-def _fjoin_dict_dp(gs: Digraph, f: Mapping[int, int], cap: int) -> int | None:
+def _fjoin_dict_dp(
+    gs: DirectedOperationGraph, f: Mapping[int, int], cap: int
+) -> int | None:
     target = tuple(f.get(v, 0) for v in range(gs.n))
     zero = tuple([0] * gs.n)
     states: dict[tuple[int, ...], int] = {zero: 0}
-    for u, v in sorted(gs.arcs):
-        for _ in range(gs.multiplicity((u, v))):
-            nxt = dict(states)
-            for state, cost in states.items():
-                if cost + 1 > cap:
-                    continue
-                bumped = list(state)
-                bumped[u] += 1
-                bumped[v] -= 1
-                key = tuple(bumped)
-                gap = sum(abs(a - b) for a, b in zip(key, target))
-                if cost + 1 + gap // 2 > cap:
-                    continue
-                if nxt.get(key, cap + 1) > cost + 1:
-                    nxt[key] = cost + 1
-            states = nxt
+    for u, v in _arc_copies(gs):
+        nxt = dict(states)
+        for state, cost in states.items():
+            if cost + 1 > cap:
+                continue
+            bumped = list(state)
+            bumped[u] += 1
+            bumped[v] -= 1
+            key = tuple(bumped)
+            gap = sum(abs(a - b) for a, b in zip(key, target))
+            if cost + 1 + gap // 2 > cap:
+                continue
+            if nxt.get(key, cap + 1) > cost + 1:
+                nxt[key] = cost + 1
+        states = nxt
     return states.get(target)
 
 

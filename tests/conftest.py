@@ -1,7 +1,7 @@
 import math
 import random
 from collections import deque
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -42,6 +42,23 @@ def all_graphs(n: int):
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         yield Graph(n, frozenset(p for i, p in enumerate(pairs) if mask >> i & 1))
+
+
+def graph_orbits(n: int):
+    """One graph per isomorphism class on n vertices, as the least edge mask
+    of its orbit, ascending: a mask not yet seen starts a new orbit, whose
+    images under the n! vertex permutations are then marked seen."""
+    pairs = list(combinations(range(n), 2))
+    bit = {p: 1 << i for i, p in enumerate(pairs)}
+    images = [
+        [bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in pairs]
+        for p in permutations(range(n))
+    ]
+    seen: set[int] = set()
+    for mask in range(1 << len(pairs)):
+        if mask not in seen:
+            seen.update(sum(image[i] for i in set_bits(mask)) for image in images)
+            yield Graph(n, frozenset(p for i, p in enumerate(pairs) if mask >> i & 1))
 
 
 def all_digraphs(n: int):

@@ -2,6 +2,8 @@
 known closed-form optima, large random batches, subroutine cross-checks,
 and performance bounds.  Everything here is deterministic."""
 
+import hashlib
+import json
 import random
 import time
 from itertools import combinations, product
@@ -45,6 +47,7 @@ from conftest import (
     covered,
     from_arcs,
     from_edges,
+    graph_orbits,
     odd_vertices,
     random_digraph,
     random_graph,
@@ -63,17 +66,30 @@ def _opt(outcome):
     return outcome.opt if outcome.verdict is Verdict.SOLVED else None
 
 
+def _record(digest, outcome) -> None:
+    """Add the outcome's verdict, opt and sorted edit sets to ``digest``.
+
+    The sweeps pin their digests, so that they also fail on a witness that
+    changed but is still valid and optimal.  The pinned values were computed
+    before the blossom lost its unit-weight mode.
+    """
+    sol = outcome.solution
+    edits = [] if sol is None else [sorted(sol.additions), sorted(sol.deletions)]
+    digest.update(json.dumps([outcome.verdict.value, outcome.opt, *edits]).encode())
+
 # -- Exhaustive undirected sweep vs oracle -------------------------------
 
 
 def test_undirected_sweep_n5():
     start = time.perf_counter()
+    digest = hashlib.sha256()
     for g in all_graphs(5):
         for delta in product((0, 1), repeat=5):
             inst = ParityInstance(g, delta)
             for s, solver in UNDIRECTED_SOLVERS.items():
                 expected = oracle_cdpe(inst, s, BUDGET)
                 outcome = solver(inst)
+                _record(digest, outcome)
                 got = _opt(outcome)
                 assert got == expected, (sorted(g.edges), delta, s, got, expected)
                 if got is not None:
@@ -81,7 +97,34 @@ def test_undirected_sweep_n5():
                     assert verify_parity(
                         inst, sol.additions, sol.deletions, claimed_opt=got
                     ).valid
+    assert digest.hexdigest()[:16] == "487be3ce5d29d97b"
     assert time.perf_counter() - start < 300
+
+
+def test_undirected_sweep_n6_by_orbits():
+    graphs = list(graph_orbits(6))
+    assert len(graphs) == 156  # OEIS A000088
+    digest = hashlib.sha256()
+    for g in graphs:
+        for delta in product((0, 1), repeat=6):
+            inst = ParityInstance(g, delta)
+            for s, solver in UNDIRECTED_SOLVERS.items():
+                outcomes = {True: solver(inst), False: solve_dpe(inst, s)}
+                for connected, outcome in outcomes.items():
+                    _record(digest, outcome)
+                    expected = oracle_cdpe(inst, s, BUDGET, connected=connected)
+                    got = _opt(outcome)
+                    assert got == expected, (sorted(g.edges), delta, s, connected, got)
+                    if got is not None:
+                        sol = outcome.solution
+                        assert verify_parity(
+                            inst,
+                            sol.additions,
+                            sol.deletions,
+                            claimed_opt=got,
+                            require_connected=connected,
+                        ).valid
+    assert digest.hexdigest()[:16] == "ae2db15b2019a551"
 
 
 # -- Exhaustive directed sweep vs oracle ---------------------------------
@@ -90,12 +133,14 @@ def test_undirected_sweep_n5():
 def test_directed_sweep_n4():
     start = time.perf_counter()
     deltas = [d for d in product((-1, 0, 1), repeat=4) if sum(d) == 0]
+    digest = hashlib.sha256()
     for g in all_digraphs(4):
         for delta in deltas:
             inst = BalanceInstance(g, delta)
             for s in OperationSet:
                 expected = oracle_cdbe(inst, s, BUDGET)
                 outcome = solve_cdbe(inst, s)
+                _record(digest, outcome)
                 got = _opt(outcome)
                 assert got == expected, (sorted(g.arcs), delta, s, got, expected)
                 if got is not None:
@@ -103,6 +148,7 @@ def test_directed_sweep_n4():
                     assert verify_balance(
                         inst, sol.additions, sol.deletions, claimed_opt=got
                     ).valid
+    assert digest.hexdigest()[:16] == "4d94d8b8e9e8de3d"
     assert time.perf_counter() - start < 600
 
 

@@ -382,6 +382,22 @@ def test_gen_keeps_to_the_parsers_bounds_on_n(capsys, monkeypatch):
     assert code == 0 and parse_instance(out).instance.digraph.n == 8
 
 
+def test_gen_keeps_density_between_0_and_1(capsys):
+    for density in ("7", "-0.1", "nan", "inf"):
+        code, out, err = _run(
+            capsys, "gen", "--kind", "cdpe", "-n", "4", "--density", density,
+            "--seed", "1",
+        )
+        assert code == 1 and out == ""
+        assert err == "error: density must be between 0 and 1\n"
+    for density in ("0", "1"):
+        code, out, _ = _run(
+            capsys, "gen", "--kind", "cdpe", "-n", "4", "--density", density,
+            "--seed", "1",
+        )
+        assert code == 0 and parse_instance(out).instance.graph.m == 6 * float(density)
+
+
 def test_gen_requires_seed(capsys):
     with pytest.raises(SystemExit):
         main(["gen", "--kind", "cdpe", "-n", "5"])

@@ -97,9 +97,13 @@ def test_min_weight_perfect_matching_against_subset_dp(data, k):
 def test_max_matching_size_matches_networkx():
     nx = pytest.importorskip("networkx")
     rng = random.Random(0x3A7C)
-    for _ in range(40):
-        n = rng.randint(2, 60)
-        g = random_graph(rng, n, rng.uniform(0.02, 0.5))
+    # (least n, largest n, density range): forty graphs up to n = 60, ten up
+    # to n = 200 and one sparse graph at n = 1000.
+    shapes = [(2, 60, 0.02, 0.5)] * 40 + [(61, 200, 0.005, 0.1)] * 10
+    shapes.append((1000, 1000, 0.002, 0.002))
+    for low, high, sparse, dense in shapes:
+        n = rng.randint(low, high)
+        g = random_graph(rng, n, rng.uniform(sparse, dense))
         m = max_matching(g)
         assert m.edges <= g.edges
         want = nx.max_weight_matching(nx.Graph(list(g.edges)), maxcardinality=True)
