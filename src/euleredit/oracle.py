@@ -1,12 +1,17 @@
 """Exhaustive reference solvers for tiny instances.
 
 Every optimum here is found by enumerating candidate edited graphs as
-bitmasks, sharing no logic with the real solvers.  For one graph all
-2^(edit universe) candidates are scanned once and the best edit size is
-recorded per degree-parity / degree-balance signature; the tables of the
-last 16 graphs are cached, enough for sweeps that take one graph at a time.
-The matching oracles at the end check the blossom engine the same way, by
-DP over vertex subsets, sharing no code with it.
+bitmasks, sharing no logic with the real solvers.  One builder gives each
+subset of a link list (the pairs or arcs on n vertices, or the edges of a
+T-join's graph) its signature and its size: degree parities folded by XOR,
+or degree balances, one nibble per vertex, folded by addition.  For one
+graph all 2^(edit universe) candidates are scanned once and the best edit
+size is recorded per signature; the tables of the last 16 graphs are
+cached, enough for sweeps that take one graph at a time.  Each oracle
+raises ValueError outside its exact range: n <= 6 for CDPE, n <= 5 for
+CDBE, 20 edges for the T-join, and n <= 4 with supply * max(1, n-1) <= 7
+for the f-join.  The matching oracles at the end check the blossom engine
+the same way, by DP over vertex subsets, sharing no code with it.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Mapping
 import numpy as np
 
 from .fjoin import DirectedOperationGraph
-from .graphs import Digraph, Graph, OperationSet, set_bits
+from .graphs import Graph, OperationSet, set_bits
 from .matching import Matching, WeightedCompleteGraph
 
 
@@ -38,12 +43,37 @@ _INF = 999
 
 
 # ---------------------------------------------------------------------------
-# Undirected: CDPE / DPE.
+# Every table: each subset of a link list, as a mask over the list's order.
 
 
-@lru_cache(maxsize=None)
-def _pairs(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((u, v) for u in range(n) for v in range(u + 1, n))
+def _signatures(links, start: int, fold, step):
+    """Per subset mask of ``links``: ``start`` folded (``np.bitwise_xor`` or
+    ``np.add``) with ``step(u, v)`` of each link in the subset, and its size."""
+    size = 1 << len(links)
+    idx = np.arange(size, dtype=np.uint32)
+    sig = np.full(size, start, dtype=np.int64)
+    pop = np.zeros(size, dtype=np.uint8)
+    for i, (u, v) in enumerate(links):
+        hit = (idx >> i) & 1 == 1
+        sig[hit] = fold(sig[hit], step(u, v))
+        pop[hit] += 1
+    return sig, pop
+
+
+def _ends(u: int, v: int) -> int:
+    return (1 << u) | (1 << v)  # edge uv flips the degree parity of u and v
+
+
+def _shift(u: int, v: int) -> int:
+    return (1 << (4 * u)) - (1 << (4 * v))  # arc uv: +1 in u's nibble, -1 in v's
+
+
+def _balance_key(n: int, values: Mapping[int, int] | list | tuple) -> int:
+    # One nibble per vertex, offset 8; every |balance| here is <= 7: no carries.
+    key = 0
+    for v in range(n):
+        key |= (values[v] + 8) << (4 * v)
+    return key
 
 
 def _mask_connected(n: int, pairs, mask: int) -> bool:
@@ -72,39 +102,35 @@ def _mask_connected(n: int, pairs, mask: int) -> bool:
     return seen == (1 << n) - 1
 
 
+def _connectivity(n: int, links):
+    masks = range(1 << len(links))
+    return np.fromiter((_mask_connected(n, links, m) for m in masks), dtype=bool)
+
+
 @lru_cache(maxsize=None)
-def _undirected_tables(n: int):
-    """Per edge-mask: degree-parity signature, connectivity, popcount."""
-    pairs = _pairs(n)
-    e = len(pairs)
-    size = 1 << e
-    idx = np.arange(size, dtype=np.uint32)
-    parity = np.zeros(size, dtype=np.uint16)
-    pop = np.zeros(size, dtype=np.uint8)
-    for i, (u, v) in enumerate(pairs):
-        hit = (idx >> i) & 1 == 1
-        parity[hit] ^= (1 << u) | (1 << v)
-        pop[hit] += 1
-    conn = np.fromiter(
-        (_mask_connected(n, pairs, m) for m in range(size)), dtype=bool, count=size
-    )
-    return parity, conn, pop
+def _parity_tables(n: int):
+    """The pairs of n vertices; per pair-mask: parity signature, size, connectivity."""
+    pairs = tuple((u, v) for u in range(n) for v in range(u + 1, n))
+    parity, pop = _signatures(pairs, 0, np.bitwise_xor, _ends)
+    return pairs, parity, pop, _connectivity(n, pairs)
 
 
-def _graph_mask(g: Graph) -> int:
-    index = {pair: i for i, pair in enumerate(_pairs(g.n))}
-    mask = 0
-    for e in g.edges:
-        mask |= 1 << index[e]
-    return mask
+@lru_cache(maxsize=None)
+def _balance_tables(n: int):
+    """The arcs of n vertices; per arc-mask: balance signature, size, connectivity."""
+    arcs = tuple((u, v) for u in range(n) for v in range(n) if u != v)
+    packed, pop = _signatures(arcs, _balance_key(n, [0] * n), np.add, _shift)
+    return arcs, packed, pop, _connectivity(n, arcs)
 
 
 @lru_cache(maxsize=16)
-def _parity_best(n: int, gmask: int, add_only: bool, connected: bool):
-    """Min edit size per parity signature, over all candidate graphs H."""
-    parity, conn, pop = _undirected_tables(n)
-    h = np.arange(1 << len(_pairs(n)), dtype=np.uint32)
-    if add_only:
+def _best_edits(tables, n: int, present, s: OperationSet, connected: bool, width: int):
+    """Min edit size per signature of ``tables(n)``, a key of ``width`` bits,
+    over all candidate graphs H; G has the links ``present``."""
+    links, sig, pop, conn = tables(n)
+    gmask = sum(1 << i for i, link in enumerate(links) if link in present)
+    h = np.arange(len(sig), dtype=np.uint32)
+    if s is OperationSet.ADD:
         valid = (h & gmask) == gmask
         cost = pop.astype(np.int16) - bin(gmask).count("1")
     else:
@@ -112,9 +138,13 @@ def _parity_best(n: int, gmask: int, add_only: bool, connected: bool):
         cost = pop[h ^ gmask].astype(np.int16)
     if connected:
         valid = valid & conn
-    best = np.full(1 << n, _INF, dtype=np.int16)
-    np.minimum.at(best, parity[valid], cost[valid])
+    best = np.full(1 << width, _INF, dtype=np.int16)
+    np.minimum.at(best, sig[valid], cost[valid])
     return best
+
+
+# ---------------------------------------------------------------------------
+# Undirected: CDPE / DPE, and the T-join.
 
 
 def oracle_cdpe(
@@ -126,7 +156,7 @@ def oracle_cdpe(
         raise ValueError("oracle_cdpe supports n <= 6")
     if g.n == 0:
         raise ValueError("empty graph")
-    best = _parity_best(g.n, _graph_mask(g), s is OperationSet.ADD, connected)
+    best = _best_edits(_parity_tables, g.n, g.edges, s, connected, g.n)
     key = sum(inst.delta[v] << v for v in range(g.n))
     value = int(best[key])
     return None if value > b.kmax else value
@@ -134,15 +164,7 @@ def oracle_cdpe(
 
 @lru_cache(maxsize=16)
 def _tjoin_best(gs: Graph):
-    edges = sorted(gs.edges)
-    size = 1 << len(edges)
-    idx = np.arange(size, dtype=np.uint32)
-    odd = np.zeros(size, dtype=np.uint16)
-    pop = np.zeros(size, dtype=np.uint8)
-    for i, (u, v) in enumerate(edges):
-        hit = (idx >> i) & 1 == 1
-        odd[hit] ^= (1 << u) | (1 << v)
-        pop[hit] += 1
+    odd, pop = _signatures(sorted(gs.edges), 0, np.bitwise_xor, _ends)
     best = np.full(1 << gs.n, _INF, dtype=np.int16)
     np.minimum.at(best, odd, pop.astype(np.int16))
     return best
@@ -160,75 +182,18 @@ def oracle_min_t_join(gs: Graph, t_set) -> int | None:
 # Directed: CDBE / DBE.
 
 
-@lru_cache(maxsize=None)
-def _arcs(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((u, v) for u in range(n) for v in range(n) if u != v)
-
-
-def _balance_key(n: int, values: Mapping[int, int] | list | tuple) -> int:
-    # One nibble per vertex, offset 8; |balance| <= n-1 <= 7 so no carries.
-    key = 0
-    for v in range(n):
-        key |= (values[v] + 8) << (4 * v)
-    return key
-
-
-@lru_cache(maxsize=None)
-def _directed_tables(n: int):
-    """Per arc-mask: packed balance signature, weak connectivity, popcount."""
-    arcs = _arcs(n)
-    a = len(arcs)
-    size = 1 << a
-    idx = np.arange(size, dtype=np.uint32)
-    packed = np.full(size, _balance_key(n, [0] * n), dtype=np.int64)
-    pop = np.zeros(size, dtype=np.uint8)
-    for i, (u, v) in enumerate(arcs):
-        hit = (idx >> i) & 1 == 1
-        packed[hit] += (1 << (4 * u)) - (1 << (4 * v))
-        pop[hit] += 1
-    conn = np.fromiter(
-        (_mask_connected(n, arcs, m) for m in range(size)), dtype=bool, count=size
-    )
-    return packed, conn, pop
-
-
-def _digraph_mask(g: Digraph) -> int:
-    index = {arc: i for i, arc in enumerate(_arcs(g.n))}
-    mask = 0
-    for arc in g.arcs:
-        mask |= 1 << index[arc]
-    return mask
-
-
-@lru_cache(maxsize=16)
-def _balance_best(n: int, gmask: int, add_only: bool, connected: bool):
-    packed, conn, pop = _directed_tables(n)
-    h = np.arange(1 << len(_arcs(n)), dtype=np.uint32)
-    if add_only:
-        valid = (h & gmask) == gmask
-        cost = pop.astype(np.int16) - bin(gmask).count("1")
-    else:
-        valid = np.ones(len(h), dtype=bool)
-        cost = pop[h ^ gmask].astype(np.int16)
-    if connected:
-        valid = valid & conn
-    best = np.full(1 << (4 * n), _INF, dtype=np.int16)
-    np.minimum.at(best, packed[valid], cost[valid])
-    return best
-
-
 def oracle_cdbe(
     inst, s: OperationSet, b: OracleBudget, connected: bool = True
 ) -> int | None:
     """Smallest edit size achieving the balance targets, or None."""
     g = inst.digraph
-    if g.n > 4:
-        raise ValueError("oracle_cdbe supports n <= 4")
+    if g.n > 5:
+        raise ValueError("oracle_cdbe supports n <= 5")
     if g.n == 0:
         raise ValueError("empty digraph")
     if any(abs(d) > g.n - 1 for d in inst.delta):
         return None
-    best = _balance_best(g.n, _digraph_mask(g), s is OperationSet.ADD, connected)
+    best = _best_edits(_balance_tables, g.n, g.arcs, s, connected, 4 * g.n)
     value = int(best[_balance_key(g.n, inst.delta)])
     return None if value > b.kmax else value
 
@@ -272,44 +237,17 @@ def oracle_min_f_join(gs: DirectedOperationGraph, f: Mapping[int, int]) -> int |
 
     Exhaustive over sub-multisets; a join of size <= supply * (n-1) exists
     whenever any join does (shortest-path decomposition), so the search is
-    capped there.
+    capped there.  An unbalanced f has no join; otherwise n <= 4 and that
+    cap <= 7 are required, the range where the nibble table is exact.
     """
     f = {v: x for v, x in f.items() if x}
     if sum(f.values()) != 0:
         return None
-    supply = sum(x for x in f.values() if x > 0)
-    cap = supply * max(1, gs.n - 1)
-    if cap <= 7 and gs.n <= 4:
-        target = [f.get(v, 0) for v in range(gs.n)]
-        if any(abs(x) > 7 for x in target):
-            return None
-        value = int(_fjoin_best(gs)[_balance_key(gs.n, target)])
-        return None if value > cap else value
-    return _fjoin_dict_dp(gs, f, cap)
-
-
-def _fjoin_dict_dp(
-    gs: DirectedOperationGraph, f: Mapping[int, int], cap: int
-) -> int | None:
-    target = tuple(f.get(v, 0) for v in range(gs.n))
-    zero = tuple([0] * gs.n)
-    states: dict[tuple[int, ...], int] = {zero: 0}
-    for u, v in _arc_copies(gs):
-        nxt = dict(states)
-        for state, cost in states.items():
-            if cost + 1 > cap:
-                continue
-            bumped = list(state)
-            bumped[u] += 1
-            bumped[v] -= 1
-            key = tuple(bumped)
-            gap = sum(abs(a - b) for a, b in zip(key, target))
-            if cost + 1 + gap // 2 > cap:
-                continue
-            if nxt.get(key, cap + 1) > cost + 1:
-                nxt[key] = cost + 1
-        states = nxt
-    return states.get(target)
+    cap = sum(x for x in f.values() if x > 0) * max(1, gs.n - 1)
+    if gs.n > 4 or cap > 7:
+        raise ValueError("oracle_min_f_join supports n <= 4 and supply * (n-1) <= 7")
+    value = int(_fjoin_best(gs)[_balance_key(gs.n, [f.get(v, 0) for v in range(gs.n)])])
+    return None if value > cap else value
 
 
 # ---------------------------------------------------------------------------

@@ -44,21 +44,24 @@ def all_graphs(n: int):
         yield Graph(n, frozenset(p for i, p in enumerate(pairs) if mask >> i & 1))
 
 
-def graph_orbits(n: int):
-    """One graph per isomorphism class on n vertices, as the least edge mask
-    of its orbit, ascending: a mask not yet seen starts a new orbit, whose
-    images under the n! vertex permutations are then marked seen."""
-    pairs = list(combinations(range(n), 2))
-    bit = {p: 1 << i for i, p in enumerate(pairs)}
+def graph_orbits(n: int, links):
+    """The links of one graph per isomorphism class on n vertices, where
+    ``links`` lists the pairs u < v (graphs) or the arcs u != v (digraphs):
+    the least link mask of each orbit, ascending.  A mask not yet seen starts
+    a new orbit, whose images under the n! vertex permutations are then
+    marked seen."""
+    bit = {link: 1 << i for i, link in enumerate(links)}
+    # The image of a pair is read as a pair, that of an arc as an arc.
     images = [
-        [bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in pairs]
+        [bit.get((p[u], p[v])) or bit[p[v], p[u]] for u, v in links]
         for p in permutations(range(n))
     ]
-    seen: set[int] = set()
-    for mask in range(1 << len(pairs)):
-        if mask not in seen:
-            seen.update(sum(image[i] for i in set_bits(mask)) for image in images)
-            yield Graph(n, frozenset(p for i, p in enumerate(pairs) if mask >> i & 1))
+    seen = bytearray(1 << len(links))
+    for mask in range(1 << len(links)):
+        if not seen[mask]:
+            for image in images:
+                seen[sum(image[i] for i in set_bits(mask))] = 1
+            yield frozenset(link for i, link in enumerate(links) if mask >> i & 1)
 
 
 def all_digraphs(n: int):

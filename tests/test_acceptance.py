@@ -102,7 +102,7 @@ def test_undirected_sweep_n5():
 
 
 def test_undirected_sweep_n6_by_orbits():
-    graphs = list(graph_orbits(6))
+    graphs = [Graph(6, e) for e in graph_orbits(6, list(combinations(range(6), 2)))]
     assert len(graphs) == 156  # OEIS A000088
     digest = hashlib.sha256()
     for g in graphs:
@@ -150,6 +150,48 @@ def test_directed_sweep_n4():
                     ).valid
     assert digest.hexdigest()[:16] == "4d94d8b8e9e8de3d"
     assert time.perf_counter() - start < 600
+
+
+def test_directed_sweep_n5_by_orbit_sample():
+    """Eulerian editing (δ ≡ 0) and two seeded δ of one to three unit
+    transfers, on 1,000 of the 9,608 digraph classes on 5 vertices: those at
+    the indices ``random.Random(0xD5).sample(range(9608), 1000)`` of the
+    ascending list ``graph_orbits`` gives, under ``solve_cdbe`` and
+    ``solve_dbe`` with both operation sets."""
+    arcs = [(u, v) for u in range(5) for v in range(5) if u != v]
+    classes = list(graph_orbits(5, arcs))
+    assert len(classes) == 9608  # OEIS A000273
+    rng = random.Random(0xD5)
+    digest = hashlib.sha256()
+    for index in sorted(rng.sample(range(len(classes)), 1000)):
+        g = Digraph(5, classes[index])
+        deltas = [(0,) * 5]
+        for _ in range(2):
+            delta = [0] * 5
+            for _ in range(rng.randint(1, 3)):
+                u, v = rng.sample(range(5), 2)
+                delta[u] += 1
+                delta[v] -= 1
+            deltas.append(tuple(delta))
+        for delta in deltas:
+            inst = BalanceInstance(g, delta)
+            for s in OperationSet:
+                outcomes = {True: solve_cdbe(inst, s), False: solve_dbe(inst, s)}
+                for connected, outcome in outcomes.items():
+                    _record(digest, outcome)
+                    expected = oracle_cdbe(inst, s, BUDGET, connected=connected)
+                    got = _opt(outcome)
+                    assert got == expected, (sorted(g.arcs), delta, s, connected, got)
+                    if got is not None:
+                        sol = outcome.solution
+                        assert verify_balance(
+                            inst,
+                            sol.additions,
+                            sol.deletions,
+                            claimed_opt=got,
+                            require_connected=connected,
+                        ).valid
+    assert digest.hexdigest()[:16] == "4ab1b9661e0e27a8"
 
 
 # -- Known closed-form optima ----------------------------------

@@ -4,13 +4,14 @@ import inspect
 import json
 import random
 import time
+from itertools import product
 
 import pytest
 
 import euleredit.cdpe
 import euleredit.cli
 import euleredit.tjoin
-from euleredit import SolverInvariantError, VerifyReport
+from euleredit import SolverInvariantError, VerifyReport, verify_parity
 from euleredit.tjoin import build_gs, min_t_join
 from euleredit.cli import (
     ParseError,
@@ -60,6 +61,7 @@ def test_parse_directed():
         ("p cdpe ed 2 0\n", "unsupported operation set"),
         ("p cdpe ea 2 x\n", "integers"),
         ("p cdpe ea 0 0\n", "positive"),
+        ("p cdpe ea 3 0 -1\n", "budget must be non-negative"),
         ("p cdpe ea 2 1\n", "expected 1 e-lines"),
         ("p cdpe ea 2 1\ne 0 2\n", "out of range"),
         ("p cdpe ea 2 1\ne 1 1\n", "loops"),
@@ -208,6 +210,15 @@ def test_solve_command(tmp_path, capsys):
     assert record["opt"] == 0
     assert record["counts"] == {"p": 1, "q": 0, "t": 0, "T": 0, "F": 0}
     assert "Solved" in err
+    assert "feasible_within_budget" not in record
+    # With a header budget k the record says whether opt <= k; the
+    # edgeless graph on 4 vertices needs a C4, opt = 4.
+    for k, feasible in ((4, True), (3, False)):
+        path.write_text(f"p cdpe ea 4 0 {k}\n")
+        code, out, _ = _run(capsys, "solve", "--in", str(path))
+        record = json.loads(out)
+        assert code == 0 and record["opt"] == 4
+        assert record["feasible_within_budget"] is feasible
 
 
 def test_solve_no_instance_exit_code(tmp_path, capsys):
@@ -255,6 +266,26 @@ def test_failed_self_check_exit_code(tmp_path, capsys, monkeypatch, verifier, te
     code, out, err = _run(capsys, "solve", "--in", str(path))
     assert code == 3 and not out
     assert err.startswith("error: witness fails verification")
+
+
+def test_witness_size_check_exit_code(tmp_path, capsys, monkeypatch):
+    # The path 0-1-2 with every target even: T = {0, 2}, opt = 1 (add 02).
+    # A witness listing that edge as both (0, 2) and (2, 0) passes the
+    # verifier, which normalises pairs, so only the solver's size check sees it.
+    text = "p cdpe ea+ed 3 2\ne 0 1\ne 1 2\n"
+    inst_file = parse_instance(text)
+    twice = {(0, 2), (2, 0)}
+    assert verify_parity(inst_file.instance, twice, set(), claimed_opt=1).valid
+    witness = lambda g, sub, labels: (twice, set())
+    monkeypatch.setattr(euleredit.cdpe, "_general_editing_witness", witness)
+    message = "witness has 2 edits but the optimum is 1"
+    with pytest.raises(SolverInvariantError, match=message):
+        _solve(inst_file, connected=True)
+    path = tmp_path / "inst.txt"
+    path.write_text(text)
+    code, out, err = _run(capsys, "solve", "--in", str(path))
+    assert code == 3 and not out
+    assert err == f"error: {message}\n"
 
 
 def test_missing_perfect_matching_exit_code(tmp_path, capsys, monkeypatch):
@@ -344,12 +375,20 @@ def test_oracle_command(tmp_path, capsys):
     assert code == 0 and json.loads(out)["opt"] == 4
     code, out, _ = _run(capsys, "oracle", "--in", str(path), "--kmax", "3")
     assert code == 2 and json.loads(out)["verdict"] == "NoInstance"
+    # Digraphs up to 5 vertices: five isolated ones need a directed 5-cycle.
+    path.write_text("p cdbe ea 5 0\n")
+    code, out, _ = _run(capsys, "oracle", "--in", str(path))
+    assert code == 0 and json.loads(out)["opt"] == 5
+    path.write_text("p cdbe ea 6 0\n")
+    code, out, err = _run(capsys, "oracle", "--in", str(path))
+    assert code == 1 and not out
+    assert err == "error: oracle_cdbe supports n <= 5\n"
 
 
 def test_oracle_agrees_with_solve(tmp_path, capsys):
-    for seed in range(10):
+    for kind, seed in product(("cdpe", "cdbe"), range(10)):
         gen_code, text, _ = _run(
-            capsys, "gen", "--kind", "cdpe", "-n", "5", "--seed", str(seed)
+            capsys, "gen", "--kind", kind, "-n", "5", "--seed", str(seed)
         )
         assert gen_code == 0
         path = tmp_path / "inst.txt"

@@ -77,6 +77,10 @@ def test_apply_roundtrip():
 def test_digraph_invariants():
     with pytest.raises(GraphError):
         Digraph(3, frozenset({(1, 1)}))
+    with pytest.raises(GraphError, match="negative vertex count"):
+        Digraph(-1, frozenset())
+    with pytest.raises(GraphError, match="bad arc"):
+        Digraph(3, frozenset({(0, 3)}))
     with pytest.raises(GraphError):
         Digraph(3, frozenset({(0, 1)}), frozenset({(1, 2)}))
     with pytest.raises(GraphError):
@@ -108,6 +112,13 @@ def test_instance_validation():
     d = Digraph(2, frozenset({(0, 1)}), frozenset())
     with pytest.raises(GraphError):
         BalanceInstance(d, (1,))
+    with pytest.raises(GraphError, match="budget"):
+        BalanceInstance(d, (0, 0), budget=-1)
+    doubled = Digraph(2, frozenset({(0, 1)}), frozenset({(0, 1)}))
+    with pytest.raises(GraphError, match="simple"):
+        BalanceInstance(doubled, (0, 0))
+    with pytest.raises(GraphError, match="simple"):
+        doubled.apply(additions=[(1, 0)])
 
 
 @given(graphs)

@@ -41,6 +41,16 @@ def test_oracle_cdpe_budget_cutoff():
 def test_oracle_cdpe_rejects_large():
     with pytest.raises(ValueError):
         oracle_cdpe(ParityInstance(Graph(7, frozenset()), (0,) * 7), OperationSet.ADD, B)
+    with pytest.raises(ValueError, match="empty graph"):
+        oracle_cdpe(ParityInstance(Graph(0, frozenset()), ()), OperationSet.ADD, B)
+
+
+def test_oracle_cdbe_rejects_large():
+    six = BalanceInstance(Digraph(6, frozenset()), (0,) * 6)
+    with pytest.raises(ValueError, match="n <= 5"):
+        oracle_cdbe(six, OperationSet.ADD, B)
+    with pytest.raises(ValueError, match="empty digraph"):
+        oracle_cdbe(BalanceInstance(Digraph(0, frozenset()), ()), OperationSet.ADD, B)
 
 
 def test_oracle_cdbe_small_cases():
@@ -70,6 +80,9 @@ def test_oracle_min_t_join():
     assert oracle_min_t_join(path, frozenset()) == 0
     split = from_edges(4, [(0, 1), (2, 3)])
     assert oracle_min_t_join(split, {0, 2}) is None
+    k7 = from_edges(7, [(u, v) for u in range(7) for v in range(u + 1, 7)])
+    with pytest.raises(ValueError, match="at most 20 edges"):
+        oracle_min_t_join(k7, frozenset())
 
 
 def test_oracle_min_f_join():
@@ -79,3 +92,14 @@ def test_oracle_min_f_join():
     assert oracle_min_f_join(gs, {1: 2, 0: -2}) == 2  # doubled (1,0)
     assert oracle_min_f_join(gs, {0: 1}) is None
     assert oracle_min_f_join(gs, {}) == 0
+    # Outside n <= 4 and supply * (n-1) <= 7 the nibble table is not exact;
+    # an unbalanced f is still None before that check.
+    two = build_gs_directed(from_arcs(2, [(0, 1)]), OperationSet.ADD_DELETE)
+    assert oracle_min_f_join(two, {0: 7, 1: -7}) is None
+    for big, f in ((two, {0: 8, 1: -8}), (gs, {0: 4, 1: -4})):
+        with pytest.raises(ValueError, match="supply"):
+            oracle_min_f_join(big, f)
+    five = build_gs_directed(from_arcs(5, [(0, 1)]), OperationSet.ADD_DELETE)
+    assert oracle_min_f_join(five, {0: 1}) is None
+    with pytest.raises(ValueError, match="n <= 4"):
+        oracle_min_f_join(five, {0: 1, 1: -1})

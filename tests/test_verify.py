@@ -56,6 +56,10 @@ def test_verify_balance():
     assert verify_balance(inst, set(), set()).valid
     assert "addition-is-edge" in verify_balance(inst, {(0, 1)}, set()).failures
     assert "deletion-not-edge" in verify_balance(inst, set(), {(1, 0)}).failures
+    assert "not-disjoint" in verify_balance(inst, {(2, 0)}, {(2, 0)}).failures
+    assert verify_balance(inst, set(), set(), claimed_opt=1).failures == (
+        "size-mismatch",
+    )
     report = verify_balance(inst, {(2, 0)}, set())
     assert set(report.failures) == {"balance-violation(0)", "balance-violation(2)"}
     # Direction matters: (2,0) and (0,2) are different arcs.
