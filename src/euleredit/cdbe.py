@@ -76,8 +76,11 @@ def _arc_crossable(g, h, arcs, arc, bridge_set) -> bool:
 
 
 def _arc_meetings(arcs: dict):
-    # Each arc (u, mid) into mid with each arc (mid, w) out of it, w != u,
-    # mids and arcs in sorted order; the detour keeps the direction u to w.
+    # Each arc (u, mid) into mid with each arc (mid, w) out of it, mids and
+    # arcs in sorted order; the detour keeps the direction u to w.  w != u
+    # always: a minimum f-join holds no antiparallel pair, as dropping one
+    # copy each of (u, mid) and (mid, u) keeps every balance and saves 2, and
+    # both swaps keep the join's size, so every join rewired here is minimum.
     heads: dict[int, list[tuple[int, int]]] = {}
     tails: dict[int, list[tuple[int, int]]] = {}
     for a in sorted(arcs):
@@ -86,8 +89,7 @@ def _arc_meetings(arcs: dict):
     for mid in sorted(heads):
         for uv in heads[mid]:
             for vw in tails.get(mid, ()):
-                if vw[1] != uv[0]:
-                    yield mid, uv, vw, ((uv[0], vw[1]),)
+                yield mid, uv, vw, ((uv[0], vw[1]),)
 
 
 def rewire_fjoin_for_connectivity(g: Digraph, f: DirectedFJoin) -> DirectedFJoin:
@@ -110,7 +112,7 @@ def solve_cdbe(inst: BalanceInstance, s: OperationSet) -> SolveOutcome:
     counts = balance_counts(inst)
     p, q = counts.plain_components, counts.deficient_components
     gs = build_gs_directed(g, s)
-    f = min_f_join(gs, counts.imbalance or {})
+    f = min_f_join(gs, counts.imbalance)
     if f is None:
         return _no_instance(counts, inst.budget)
 
@@ -131,7 +133,7 @@ def solve_dbe(inst: BalanceInstance, s: OperationSet) -> SolveOutcome:
     """Degree balance editing without the connectivity requirement."""
     g = inst.digraph
     counts = balance_counts(inst)
-    f = min_f_join(build_gs_directed(g, s), counts.imbalance or {})
+    f = min_f_join(build_gs_directed(g, s), counts.imbalance)
     if f is None:
         return _no_instance(counts, inst.budget)
     solution = extract_af_df(f, g)

@@ -7,7 +7,7 @@ CLI layer's business.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
@@ -157,16 +157,11 @@ class Graph:
 
 @dataclass(frozen=True)
 class Digraph:
-    """A finite digraph on vertices 0..n-1.
-
-    Plain instance digraphs are simple.  The arc-multigraph used as the
-    directed operation graph may carry a second copy of an arc; those arcs
-    are listed in ``doubled``.  A doubled (u, v) never coexists with (v, u).
-    """
+    """A finite simple digraph on vertices 0..n-1.  The directed operation
+    multigraph is not one: it lives in ``fjoin.DirectedOperationGraph``."""
 
     n: int
     arcs: frozenset[tuple[int, int]]
-    doubled: frozenset[tuple[int, int]] = field(default=frozenset())
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -176,29 +171,16 @@ class Digraph:
                 raise GraphError(f"loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise GraphError(f"bad arc ({u}, {v}) for n={self.n}")
-        for u, v in self.doubled:
-            if (u, v) not in self.arcs:
-                raise GraphError(f"doubled arc ({u}, {v}) not present")
-            if (v, u) in self.arcs:
-                raise GraphError(f"doubled arc ({u}, {v}) with reverse present")
 
     @property
     def m(self) -> int:
-        return len(self.arcs) + len(self.doubled)
-
-    def multiplicity(self, arc: tuple[int, int]) -> int:
-        if arc not in self.arcs:
-            return 0
-        return 2 if arc in self.doubled else 1
+        return len(self.arcs)
 
     @cached_property
     def balances(self) -> tuple[int, ...]:
-        # out-degree minus in-degree per vertex, doubled arcs counted twice.
+        # out-degree minus in-degree per vertex.
         bal = [0] * self.n
         for u, v in self.arcs:
-            bal[u] += 1
-            bal[v] -= 1
-        for u, v in self.doubled:
             bal[u] += 1
             bal[v] -= 1
         return tuple(bal)
@@ -216,8 +198,6 @@ class Digraph:
         additions: Iterable[tuple[int, int]] = (),
         deletions: Iterable[tuple[int, int]] = (),
     ) -> "Digraph":
-        if self.doubled:
-            raise GraphError("apply is only defined on simple digraphs")
         return Digraph(self.n, (self.arcs | set(additions)) - set(deletions))
 
 
@@ -247,8 +227,6 @@ class BalanceInstance:
     budget: int | None = None
 
     def __post_init__(self) -> None:
-        if self.digraph.doubled:
-            raise GraphError("instance digraphs must be simple")
         if len(self.delta) != self.digraph.n:
             raise GraphError("delta must assign a balance to every vertex")
         if self.budget is not None and self.budget < 0:

@@ -9,12 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import (
-    BalanceInstance,
-    Digraph,
-    ParityInstance,
-    is_connected,
-)
+from .graphs import BalanceInstance, ParityInstance, is_connected
 
 
 @dataclass(frozen=True)
@@ -80,7 +75,8 @@ def verify_balance(
     if failures:
         return VerifyReport(tuple(failures))
 
-    h = Digraph(g.n, (g.arcs | additions) - deletions)
+    # Raises GraphError on an addition that is a loop or out of range.
+    h = g.apply(additions, deletions)
     if require_connected and not is_connected(h):
         failures.append("disconnected")
     bal = h.balances

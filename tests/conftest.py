@@ -202,19 +202,29 @@ class _FlowNetwork:
             total_flow += push
 
 
+def copies(gs) -> dict[tuple[int, int], int]:
+    """The arcs of a directed operation graph with their multiplicities, in
+    sorted order, read off its ``out`` and ``twice`` rows."""
+    return {
+        (u, v): 1 + (gs.twice[u] >> v & 1)
+        for u, row in enumerate(gs.out)
+        for v in set_bits(row)
+    }
+
+
 def reference_min_f_join(gs, f) -> DirectedFJoin | None:
     """``min_f_join`` as an SPFA over an explicit residual edge list: every arc
-    of ``gs.base`` in sorted order, then source arcs to the supplying
-    vertices and arcs from the demanding vertices to the sink, both sorted."""
+    of G_S in sorted order, then source arcs to the supplying vertices and
+    arcs from the demanding vertices to the sink, both sorted."""
     f = {v: x for v, x in f.items() if x}
     if sum(f.values()) != 0:
         return None
     if not f:
         return DirectedFJoin({})
-    base = gs.base
-    source, sink = base.n, base.n + 1
-    net = _FlowNetwork(base.n + 2)
-    arc_edge = {arc: net.add(*arc, base.multiplicity(arc), 1) for arc in sorted(base.arcs)}
+    mult = copies(gs)
+    source, sink = gs.n, gs.n + 1
+    net = _FlowNetwork(gs.n + 2)
+    arc_edge = {arc: net.add(*arc, x, 1) for arc, x in mult.items()}
     for v, x in sorted(f.items()):
         if x > 0:
             net.add(source, v, x, 0)
@@ -222,7 +232,7 @@ def reference_min_f_join(gs, f) -> DirectedFJoin | None:
             net.add(v, sink, -x, 0)
     if net.min_cost_max_flow(source, sink) != sum(x for x in f.values() if x > 0):
         return None
-    used = {arc: base.multiplicity(arc) - net.cap[e] for arc, e in arc_edge.items()}
+    used = {arc: mult[arc] - net.cap[e] for arc, e in arc_edge.items()}
     return DirectedFJoin({arc: x for arc, x in used.items() if x > 0})
 
 
