@@ -12,7 +12,7 @@ integers.  Both public operations are thin reductions onto it:
   of allowed pairs with their weights; a forbidden pair is one the list
   leaves out.
 
-The brute-force matchers the tests check these against live in ``oracle``.
+The tests check these against brute-force matchers in ``tests/oracles.py``.
 """
 
 from __future__ import annotations

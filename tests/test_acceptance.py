@@ -27,16 +27,7 @@ from euleredit import (
 )
 from euleredit.fjoin import build_gs_directed, min_f_join
 from euleredit.matching import max_matching, min_weight_perfect_matching
-from euleredit.oracle import (
-    OracleBudget,
-    brute_force_max_matching_size,
-    brute_force_min_perfect_cost,
-    matching_cost,
-    oracle_cdbe,
-    oracle_cdpe,
-    oracle_min_f_join,
-    oracle_min_t_join,
-)
+from euleredit.oracle import OracleBudget, oracle_cdbe, oracle_cdpe
 from euleredit.tjoin import OperationGraph, min_t_join
 
 from conftest import (
@@ -52,6 +43,13 @@ from conftest import (
     random_digraph,
     random_graph,
     weight_table,
+)
+from oracles import (
+    brute_force_max_matching_size,
+    brute_force_min_perfect_cost,
+    matching_cost,
+    oracle_min_f_join,
+    oracle_min_t_join,
 )
 
 BUDGET = OracleBudget(12)

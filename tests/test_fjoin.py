@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from euleredit import OperationSet
 from euleredit.cdbe import extract_af_df
 from euleredit.fjoin import DirectedFJoin, build_gs_directed, min_f_join
-from euleredit.oracle import oracle_min_f_join
 
 from conftest import (
     balance,
@@ -17,6 +16,7 @@ from conftest import (
     random_digraph,
     reference_min_f_join,
 )
+from oracles import oracle_min_f_join
 
 
 def test_build_gs_add_only():

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 from euleredit import Graph
 from euleredit.matching import Matching, max_matching, min_weight_perfect_matching
-from euleredit.oracle import (
+from euleredit.tjoin import build_gs, min_t_join
+
+from conftest import FORBIDDEN, covered, from_edges, random_graph, weight_table
+from oracles import (
     brute_force_max_matching_size,
     brute_force_min_perfect_cost,
     matching_cost,
 )
-from euleredit.tjoin import build_gs, min_t_join
-
-from conftest import FORBIDDEN, covered, from_edges, random_graph, weight_table
 
 graphs = st.integers(0, 12).flatmap(
     lambda n: st.builds(

@@ -1,16 +1,18 @@
+import numpy as np
 import pytest
 
 from euleredit import BalanceInstance, Digraph, Graph, OperationSet, ParityInstance
 from euleredit.fjoin import build_gs_directed
 from euleredit.oracle import (
     OracleBudget,
+    _balance_tables,
+    _connectivity,
     oracle_cdbe,
     oracle_cdpe,
-    oracle_min_f_join,
-    oracle_min_t_join,
 )
 
 from conftest import from_arcs, from_edges
+from oracles import oracle_min_f_join, oracle_min_t_join
 
 B = OracleBudget(12)
 
@@ -103,3 +105,10 @@ def test_oracle_min_f_join():
     assert oracle_min_f_join(five, {0: 1}) is None
     with pytest.raises(ValueError, match="n <= 4"):
         oracle_min_f_join(five, {0: 1, 1: -1})
+
+
+def test_arc_connectivity_is_read_from_the_pair_table():
+    for n in range(1, 5):
+        arcs, _, _, connected = _balance_tables(n)
+        assert arcs == tuple((u, v) for u in range(n) for v in range(n) if u != v)
+        assert np.array_equal(connected, _connectivity(n, arcs))

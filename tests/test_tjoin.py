@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from euleredit import Graph, OperationSet, ParityInstance, Verdict, solve_dpe
 from euleredit.graphs import bfs_layers, components, parity_counts
 from euleredit.matching import min_weight_perfect_matching
-from euleredit.oracle import oracle_min_t_join
 from euleredit.tjoin import OperationGraph, TJoin, build_gs, min_t_join
 
 from conftest import (
@@ -18,6 +17,7 @@ from conftest import (
     reference_min_t_join,
     weight_table,
 )
+from oracles import oracle_min_t_join
 
 
 def test_build_gs_modes():
